@@ -85,8 +85,8 @@ ParticleBuffer distributed_read(simmpi::Comm& comm,
     // bins through the SIMD kernel. Owner binning is fused either way:
     // spatially-coherent files yield long runs of one owner, copied
     // with single memcpys (bin_by_owner_reference is the oracle).
-    const Dataset::FilePrefix prefix =
-        ds.fetch_file(fi, levels, comm.size(), &acc);
+    const Dataset::FilePrefix prefix = ds.fetch_file_records(
+        fi, ds.level_prefix_count(fi, levels, comm.size()), &acc);
     read_detail::bin_by_owner_dispatch(prefix.bytes(), ds.metadata().schema,
                                        decomp, prefix.mirror(), outgoing);
     // Owner binning delivers every scanned record to some rank, so the

@@ -103,8 +103,7 @@ const Box3& BoxKdTree::root_bounds() const {
 }
 
 template <typename Overlap>
-std::vector<int> BoxKdTree::query_impl(const Box3& box,
-                                       Overlap&& overlap) const {
+std::vector<int> BoxKdTree::query_impl(Overlap&& overlap) const {
   std::vector<int> out;
   if (empty() || !overlap(nodes_[0].bounds)) return out;
   std::vector<std::int32_t> stack{0};
@@ -129,12 +128,11 @@ std::vector<int> BoxKdTree::query_impl(const Box3& box,
 }
 
 std::vector<int> BoxKdTree::query(const Box3& box) const {
-  return query_impl(box, [&](const Box3& b) { return b.overlaps(box); });
+  return query_impl([&](const Box3& b) { return b.overlaps(box); });
 }
 
 std::vector<int> BoxKdTree::query_closed(const Box3& box) const {
-  return query_impl(box,
-                    [&](const Box3& b) { return b.overlaps_closed(box); });
+  return query_impl([&](const Box3& b) { return b.overlaps_closed(box); });
 }
 
 void BoxKdTree::visit_nearest(

@@ -84,7 +84,7 @@ class BoxKdTree {
   };
 
   template <typename Overlap>
-  std::vector<int> query_impl(const Box3& box, Overlap&& overlap) const;
+  std::vector<int> query_impl(Overlap&& overlap) const;
 
   std::vector<Node> nodes_;           // preorder; [0] is the root
   std::vector<std::int32_t> leaf_files_;  // file indices grouped per leaf

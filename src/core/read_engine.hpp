@@ -6,10 +6,11 @@
 ///
 ///   1. **Worker pool** — a process-wide bounded `ThreadPool`
 ///      (`SPIO_READ_THREADS=n`, default = hardware concurrency clamped
-///      to 16) so a query's N intersecting files are read and filtered
-///      concurrently. Results are always merged in file-index order, so
-///      output stays byte-identical to the serial path; a pool forced to
-///      1 reproduces serial execution exactly.
+///      to 16). `Dataset`'s plan executor has the workers fetch and
+///      filter a query's planned files, at most `concurrency()` ahead,
+///      and delivers the per-file results in plan order, so output
+///      stays byte-identical to the serial path; a pool forced to 1
+///      runs every task inline and reproduces serial execution exactly.
 ///   2. **File-buffer cache** — an LRU cache of file *prefixes* keyed by
 ///      `(path, prefix_bytes)` with a byte budget
 ///      (`SPIO_READ_CACHE=bytes`, suffixes k/m/g accepted; default

@@ -5,7 +5,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <optional>
 
 #include "core/journal.hpp"
 #include "core/read_engine.hpp"
@@ -161,13 +160,6 @@ QueryPlan Dataset::run_plan(const Box3& box,
   return plan;
 }
 
-Dataset::FilePrefix Dataset::fetch_file(int file_index, int levels,
-                                        int n_readers,
-                                        ReadStats* stats) const {
-  return fetch_file_records(
-      file_index, level_prefix_count(file_index, levels, n_readers), stats);
-}
-
 Dataset::FilePrefix Dataset::fetch_file_records(int file_index,
                                                 std::uint64_t records,
                                                 ReadStats* stats) const {
@@ -238,7 +230,8 @@ Dataset::FilePrefix Dataset::fetch_file_records(int file_index,
 ParticleBuffer Dataset::read_data_file(int file_index, int levels,
                                        int n_readers,
                                        ReadStats* stats) const {
-  FilePrefix prefix = fetch_file(file_index, levels, n_readers, stats);
+  FilePrefix prefix = fetch_file_records(
+      file_index, level_prefix_count(file_index, levels, n_readers), stats);
   ParticleBuffer buf(meta_.schema);
   buf.adopt_bytes(prefix.fetched.take_or_copy());
   if (stats) stats->particles_returned += prefix.count;
@@ -248,125 +241,126 @@ ParticleBuffer Dataset::read_data_file(int file_index, int levels,
   return buf;
 }
 
-std::uint64_t Dataset::filter_files_into(std::span<const FilePlan> files,
-                                         const Box3& box,
-                                         std::span<const RangeFilter> filters,
-                                         bool whole_file_fast_path,
-                                         ParticleBuffer& out,
-                                         ReadStats* stats) const {
-  const std::size_t n = files.size();
-  const std::uint64_t record = meta_.schema.record_size();
+std::uint64_t Dataset::execute_plan(std::span<const FilePlan> files,
+                                    const Box3& box,
+                                    std::span<const RangeFilter> filters,
+                                    bool whole_file_fast_path,
+                                    const ChunkSink& sink,
+                                    ReadStats* stats) const {
+  /// One planned file's filtered records, produced by a pool worker.
+  struct Chunk {
+    explicit Chunk(const Schema& schema) : buf(schema) {}
+    ParticleBuffer buf;
+    ReadStats stats;
+    std::future<void> done;  // holds the fetch/filter error, if any
+  };
   obs::AccessProfiler& prof = obs::AccessProfiler::instance();
-
-  /// Filter (or fast-path-append) one fetched prefix into `dst` and
-  /// attribute the surviving bytes to the file's profiler slot — the
-  /// shared tail of the serial and pooled branches. The filter/merge
-  /// wall time feeds the per-query time breakdown, so the clock is only
-  /// read in detailed mode.
-  const auto filter_prefix = [&](int fi, const FilePrefix& prefix,
-                                 ParticleBuffer& dst) -> std::uint64_t {
-    const FileRecord& f = meta_.files[static_cast<std::size_t>(fi)];
+  const auto produce = [&](const FilePlan& p, Chunk& c) {
+    const FileRecord& f = meta_.files[static_cast<std::size_t>(p.file)];
+    const FilePrefix prefix =
+        fetch_file_records(p.file, p.fetch_records, &c.stats);
+    // The filter/merge wall time feeds the per-query time breakdown, so
+    // the clock is only read in detailed mode.
     const bool timed = prof.detailed();
     const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-    std::uint64_t appended = 0;
-    bool merged = false;
-    if (whole_file_fast_path && box.contains_box(f.bounds)) {
+    const bool merged = whole_file_fast_path && box.contains_box(f.bounds);
+    if (merged) {
       // Whole file lies inside the query: no per-particle filter
       // needed — the payoff of spatially-coherent files. The planner's
       // closed zone tests guarantee a fully-contained file is never
       // tail-clamped, so this prefix is the complete LOD prefix.
-      dst.append_bytes(prefix.bytes());
-      appended = prefix.count;
-      merged = true;
+      c.buf.append_bytes(prefix.bytes());
     } else if (filters.empty()) {
-      appended = read_detail::filter_box_dispatch(prefix.bytes(), meta_.schema,
-                                                  box, prefix.mirror(), dst);
+      read_detail::filter_box_dispatch(prefix.bytes(), meta_.schema, box,
+                                       prefix.mirror(), c.buf);
     } else {
-      appended = read_detail::filter_box_ranges_dispatch(
-          prefix.bytes(), meta_.schema, box, filters, prefix.mirror(), dst);
+      read_detail::filter_box_ranges_dispatch(
+          prefix.bytes(), meta_.schema, box, filters, prefix.mirror(), c.buf);
     }
+    // Survived-the-filter attribution; chunks a stopping sink never
+    // consumes still count (they were fetched and filtered).
     const std::uint64_t us =
         timed ? static_cast<std::uint64_t>(seconds_since(t0) * 1e6) : 0;
-    prof.record_used(profile_base_, fi, appended * record,
+    prof.record_used(profile_base_, p.file,
+                     c.buf.size() * meta_.schema.record_size(),
                      /*filter_us=*/merged ? 0 : us,
                      /*merge_us=*/merged ? us : 0);
-    return appended;
   };
 
-  /// Fetch + filter file `files[k]` into `dst`, counting into `st`.
-  /// Returns records appended.
-  const auto filter_one = [&](std::size_t k, ParticleBuffer& dst,
-                              ReadStats* st) -> std::uint64_t {
-    const FilePlan& p = files[k];
-    const FilePrefix prefix =
-        fetch_file_records(p.file, p.fetch_records, st);
-    return filter_prefix(p.file, prefix, dst);
-  };
-
+  // Window of at most `concurrency()` chunks: while the sink consumes
+  // one, the pool produces the next ones. A pool of 1 runs each task
+  // inline, so the window degenerates to the serial loop: produce,
+  // deliver, repeat. The submitting query's deadline and request ID
+  // ride onto the workers; the token outlives the tasks because every
+  // chunk is drained below before this frame returns.
   ReadEngine& eng = ReadEngine::instance();
-  std::uint64_t returned = 0;
-  if (n <= 1 || eng.concurrency() <= 1) {
-    // Serial: filter every file straight into `out` — no per-file
-    // buffers, no merge copy. This IS the merge order.
-    for (std::size_t k = 0; k < n; ++k) returned += filter_one(k, out, stats);
-    if (stats) stats->particles_returned += returned;
-    return returned;
-  }
-
-  // The merge below emits straight into `out` the moment each file's
-  // fetch resolves, so the exact total is not known up front. Reserve
-  // the metadata upper bound (every record of every prefix matching) and
-  // trim below when a selective query leaves most of it unused — the
-  // trim copy is cheapest exactly when the result is small.
-  std::uint64_t upper = 0;
-  for (std::size_t k = 0; k < n; ++k) upper += files[k].fetch_records;
-  const std::size_t prior = out.size();
-  out.reserve(prior + static_cast<std::size_t>(upper));
-
-  // Workers only fetch; the main thread filters each prefix into `out`
-  // in `files` order — the serial loop's order, so output (and the
-  // rethrow point of a failing file) stays identical — as soon as its
-  // fetch resolves. Filtering file k rides in the I/O-wait gaps of the
-  // still-running fetches of files k+1..n.
-  struct PerFile {
-    FilePrefix prefix;
-    ReadStats stats;
-  };
-  std::vector<PerFile> results(n);
-  std::vector<std::future<void>> pending;
-  pending.reserve(n);
-  // Carry the submitting query's deadline — and its request ID, for span
-  // and log attribution — onto the pool workers. The token outlives the
-  // tasks: every future is drained below before this frame returns.
+  const auto window = static_cast<std::size_t>(eng.concurrency());
   const read_detail::DeadlineToken* deadline = read_detail::current_deadline();
   const std::uint64_t qid = obs::current_query_id();
-  for (std::size_t k = 0; k < n; ++k)
-    pending.push_back(
-        eng.pool().submit([this, &results, files, k, deadline, qid] {
-          read_detail::ScopedDeadline dl(deadline);
-          obs::ScopedQueryId qs(qid);
-          results[k].prefix = fetch_file_records(
-              files[k].file, files[k].fetch_records, &results[k].stats);
-        }));
-
-  std::exception_ptr first_error;
-  for (std::size_t k = 0; k < n; ++k) {
-    try {
-      pending[k].get();  // rethrows this file's fetch error, if any
-      if (first_error) continue;  // drain remaining fetches, don't filter
-      PerFile& r = results[k];
-      if (stats) stats->accumulate(r.stats);
-      returned += filter_prefix(files[k].file, r.prefix, out);
-      r.prefix = FilePrefix{};  // drop the buffer before the next file
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  std::deque<Chunk> inflight;  // deque: pushes never move live chunks
+  std::size_t next = 0;
+  bool done = false;  // failed or stopped: no more sink calls or fetches
+  std::exception_ptr failure;
+  std::uint64_t delivered = 0;
+  for (;;) {
+    while (!done && next < files.size() && inflight.size() < window) {
+      Chunk& c = inflight.emplace_back(meta_.schema);
+      c.done = eng.pool().submit(
+          [&produce, &c, p = files[next++], deadline, qid] {
+            read_detail::ScopedDeadline dl(deadline);
+            obs::ScopedQueryId qs(qid);
+            produce(p, c);
+          });
     }
+    if (inflight.empty()) break;
+    Chunk& c = inflight.front();
+    if (done) {
+      c.done.wait();  // a prefetch past the stop: drained, never delivered
+    } else {
+      try {
+        c.done.get();
+        if (!c.buf.empty()) {
+          delivered += c.buf.size();
+          done = !sink(c.buf);
+        }
+      } catch (...) {
+        // Chunks reach this point in plan order, so this is the
+        // earliest failing file — the one a serial loop would report.
+        // A throwing sink fails its file the same way.
+        failure = std::current_exception();
+        done = true;
+      }
+    }
+    if (stats) stats->accumulate(c.stats);
+    inflight.pop_front();
   }
-  if (first_error) std::rethrow_exception(first_error);
-  // Selective query against a big reservation: hand the slack back.
-  if (out.size() - prior < upper / 2) out.shrink_to_fit();
-  if (stats) stats->particles_returned += returned;
-  return returned;
+  if (stats) stats->particles_returned += delivered;
+  if (failure) std::rethrow_exception(failure);
+  publish_returned(delivered, delivered * meta_.schema.record_size());
+  return delivered;
+}
+
+ParticleBuffer Dataset::collect_plan(std::span<const FilePlan> files,
+                                     const Box3& box,
+                                     std::span<const RangeFilter> filters,
+                                     bool whole_file_fast_path,
+                                     ReadStats* stats) const {
+  // The exact total is not known until every chunk is in. Reserve the
+  // metadata upper bound (every record of every prefix matching) and
+  // trim when a selective query leaves most of it unused — the trim
+  // copy is cheapest exactly when the result is small.
+  std::uint64_t upper = 0;
+  for (const FilePlan& p : files) upper += p.fetch_records;
+  ParticleBuffer out(meta_.schema);
+  out.reserve(static_cast<std::size_t>(upper));
+  execute_plan(files, box, filters, whole_file_fast_path,
+               [&out](const ParticleBuffer& chunk) {
+                 out.append_bytes(chunk.bytes());
+                 return true;
+               },
+               stats);
+  if (out.size() < upper / 2) out.shrink_to_fit();
+  return out;
 }
 
 ParticleBuffer Dataset::query_box(const Box3& box, int levels, int n_readers,
@@ -374,11 +368,8 @@ ParticleBuffer Dataset::query_box(const Box3& box, int levels, int n_readers,
   obs::ScopedSpan span("read.query_box", "reader");
   obs::ProfiledQuery pq("query_box");
   const QueryPlan plan = run_plan(box, {}, levels, n_readers, stats);
-  ParticleBuffer out(meta_.schema);
-  filter_files_into(plan.files, box, {},
-                    /*whole_file_fast_path=*/true, out, stats);
-  publish_returned(out.size(), out.byte_size());
-  return out;
+  return collect_plan(plan.files, box, {}, /*whole_file_fast_path=*/true,
+                      stats);
 }
 
 std::vector<int> Dataset::files_matching(
@@ -419,11 +410,8 @@ ParticleBuffer Dataset::query(const Box3& box,
                "range filter with lo > hi on field " << rf.field);
   }
   const QueryPlan plan = run_plan(box, filters, levels, n_readers, stats);
-  ParticleBuffer out(meta_.schema);
-  filter_files_into(plan.files, box, filters,
-                    /*whole_file_fast_path=*/false, out, stats);
-  publish_returned(out.size(), out.byte_size());
-  return out;
+  return collect_plan(plan.files, box, filters,
+                      /*whole_file_fast_path=*/false, stats);
 }
 
 std::uint64_t Dataset::stream_box(
@@ -434,108 +422,14 @@ std::uint64_t Dataset::stream_box(
   obs::ScopedSpan span("read.stream_box", "reader");
   obs::ProfiledQuery pq("stream_box");
   const QueryPlan plan = run_plan(box, {}, levels, n_readers, stats);
-  const std::span<const FilePlan> hits = plan.files;
-
-  struct Chunk {
-    ParticleBuffer buf;
-    ReadStats stats;
-    std::exception_ptr error;
-  };
-  const auto produce = [&](const FilePlan& p, Chunk& c) {
-    try {
-      const int fi = p.file;
-      const FileRecord& f = meta_.files[static_cast<std::size_t>(fi)];
-      const FilePrefix prefix =
-          fetch_file_records(fi, p.fetch_records, &c.stats);
-      obs::AccessProfiler& prof = obs::AccessProfiler::instance();
-      const bool timed = prof.detailed();
-      const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-      const bool merged = box.contains_box(f.bounds);
-      if (merged) {
-        c.buf.append_bytes(prefix.bytes());
-      } else {
-        read_detail::filter_box_dispatch(prefix.bytes(), meta_.schema, box,
-                                         prefix.mirror(), c.buf);
-      }
-      // Survived-the-filter attribution; chunks a stopping sink never
-      // consumes still count (they were materialized and filtered).
-      const std::uint64_t us =
-          timed ? static_cast<std::uint64_t>(seconds_since(t0) * 1e6) : 0;
-      prof.record_used(profile_base_, fi,
-                       c.buf.size() * meta_.schema.record_size(),
-                       /*filter_us=*/merged ? 0 : us,
-                       /*merge_us=*/merged ? us : 0);
-    } catch (...) {
-      c.error = std::current_exception();
-    }
-  };
-
-  // Prefetch window: while the sink consumes one chunk, the pool
-  // produces the next ones. A window of 1 (pool forced to 1) is exactly
-  // the serial path: produce, deliver, repeat — and an early-stopping
-  // sink then reads nothing past the chunk it rejected. With a wider
-  // window, up to `window` file prefixes are resident at once and an
-  // early stop may have prefetched (and so counts in `stats`) up to
-  // `window - 1` files beyond the delivered one.
-  ReadEngine& eng = ReadEngine::instance();
-  const std::size_t window = std::max<std::size_t>(
-      1, std::min<std::size_t>(hits.size(),
-                               static_cast<std::size_t>(eng.concurrency())));
-
-  std::deque<std::unique_ptr<Chunk>> inflight;
-  std::deque<std::future<void>> pending;
-  std::size_t next = 0;
-  bool stopped = false;
-  std::exception_ptr failure;
-  std::uint64_t delivered = 0;
-
-  const auto launch = [&] {
-    while (!stopped && !failure && next < hits.size() &&
-           inflight.size() < window) {
-      auto chunk =
-          std::make_unique<Chunk>(Chunk{ParticleBuffer(meta_.schema), {}, {}});
-      Chunk* c = chunk.get();
-      const FilePlan fp = hits[next++];
-      inflight.push_back(std::move(chunk));
-      // As in filter_files_into: the deadline token (and request ID)
-      // outlives the task (the loop below drains every pending future
-      // before returning).
-      const read_detail::DeadlineToken* deadline =
-          read_detail::current_deadline();
-      const std::uint64_t qid = obs::current_query_id();
-      pending.push_back(eng.pool().submit([&produce, fp, c, deadline, qid] {
-        read_detail::ScopedDeadline dl(deadline);
-        obs::ScopedQueryId qs(qid);
-        produce(fp, *c);
-      }));
-    }
-  };
-
-  launch();
-  while (!inflight.empty()) {
-    pending.front().wait();
-    pending.pop_front();
-    const std::unique_ptr<Chunk> c = std::move(inflight.front());
-    inflight.pop_front();
-    if (c->error && !failure) failure = c->error;
-    if (stats) stats->accumulate(c->stats);
-    if (!failure && !stopped && !c->buf.empty()) {
-      delivered += c->buf.size();
-      if (stats) stats->particles_returned += c->buf.size();
-      if (!sink(c->buf)) stopped = true;
-    }
-    launch();
-  }
-  if (failure) std::rethrow_exception(failure);
-  publish_returned(delivered, delivered * meta_.schema.record_size());
-  return delivered;
+  return execute_plan(plan.files, box, {}, /*whole_file_fast_path=*/true,
+                      sink, stats);
 }
 
 ParticleBuffer Dataset::query_box_scan_all(const Box3& box,
                                            ReadStats* stats) const {
   obs::ScopedSpan span("read.scan_all", "reader");
   obs::ProfiledQuery pq("scan_all");
-  ParticleBuffer out(meta_.schema);
   // Every file in full, no planner: the baseline works without bounds.
   std::vector<FilePlan> all(static_cast<std::size_t>(file_count()));
   for (int fi = 0; fi < file_count(); ++fi) {
@@ -545,10 +439,7 @@ ParticleBuffer Dataset::query_box_scan_all(const Box3& box,
   }
   // No whole-file shortcut: the baseline deliberately filters every
   // particle ("read all particles ... and then cherry-pick", §4).
-  filter_files_into(all, box, {},
-                    /*whole_file_fast_path=*/false, out, stats);
-  publish_returned(out.size(), out.byte_size());
-  return out;
+  return collect_plan(all, box, {}, /*whole_file_fast_path=*/false, stats);
 }
 
 int Dataset::level_count(int n_readers) const {

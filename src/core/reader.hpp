@@ -11,12 +11,13 @@
 /// processes can open the same dataset and issue disjoint queries, which
 /// is the paper's visualization-read scenario (§5.3).
 ///
-/// Every query entry point routes through the shared `ReadEngine`
-/// (read_engine.hpp): the intersecting files of a query are read and
-/// filtered concurrently by a bounded worker pool (`SPIO_READ_THREADS`),
-/// file prefixes are served from an LRU buffer cache (`SPIO_READ_CACHE`)
-/// so repeated queries skip disk, and per-particle filtering runs
-/// through fused run-copy kernels. Results are merged in file-index
+/// Every query entry point routes through one plan executor over the
+/// shared `ReadEngine` (read_engine.hpp): the planned files of a query
+/// are fetched and filtered concurrently by a bounded worker pool
+/// (`SPIO_READ_THREADS`), file prefixes are served from an LRU buffer
+/// cache (`SPIO_READ_CACHE`) so repeated queries skip disk, and
+/// per-particle filtering runs through fused run-copy kernels. The
+/// per-file results reach the caller (or the streaming sink) in plan
 /// order, so output is byte-identical to the serial path; a pool of 1
 /// with the cache disabled reproduces serial reads exactly.
 
@@ -126,16 +127,13 @@ class Dataset {
     const PositionMirror* mirror() const { return fetched.mirror.get(); }
   };
 
-  /// Scan-side fetch of file `file_index`'s LOD prefix. Counts only scan
-  /// accounting into `stats` (files_opened, bytes_read,
-  /// particles_scanned, cache_*, file_io_seconds) — never
-  /// `particles_returned`, so callers never have to un-count records
-  /// they end up filtering out.
-  FilePrefix fetch_file(int file_index, int levels, int n_readers,
-                        ReadStats* stats) const;
-
-  /// Same, but fetching exactly the first `records` records — the
-  /// planner's zone-clamped fetch size (`FilePlan::fetch_records`).
+  /// Scan-side fetch of the first `records` records of file
+  /// `file_index` — the planner's zone-clamped fetch size
+  /// (`FilePlan::fetch_records`) or an LOD prefix from
+  /// `level_prefix_count`. Counts only scan accounting into `stats`
+  /// (files_opened, bytes_read, particles_scanned, cache_*,
+  /// file_io_seconds) — never `particles_returned`, so callers never
+  /// have to un-count records they end up filtering out.
   FilePrefix fetch_file_records(int file_index, std::uint64_t records,
                                 ReadStats* stats) const;
 
@@ -171,9 +169,11 @@ class Dataset {
   /// available memory"): matching particles are delivered file by file
   /// through `sink` instead of being materialized in one buffer. Each
   /// chunk holds only particles inside `box`, in LOD order within its
-  /// file; peak memory is one file's prefix. Returns the number of
-  /// particles delivered. `sink` may return false to stop early (e.g.
-  /// once a display budget is filled).
+  /// file; peak memory is one file's prefix per in-flight file (at most
+  /// `ReadEngine::concurrency()`). Returns the number of particles
+  /// delivered. `sink` may return false to stop early (e.g. once a
+  /// display budget is filled); files already prefetched past the stop
+  /// still count in `stats`.
   std::uint64_t stream_box(
       const Box3& box,
       const std::function<bool(const ParticleBuffer& chunk)>& sink,
@@ -229,20 +229,33 @@ class Dataset {
   QueryPlan run_plan(const Box3& box, std::span<const RangeFilter> filters,
                      int levels, int n_readers, ReadStats* stats) const;
 
-  /// The shared fan-out body of `query_box` / `query` /
-  /// `query_box_scan_all`: read every planned file through the engine
-  /// (concurrently when the pool allows), filter with the fused kernels,
-  /// and merge the per-file results into `out` in plan order — the
-  /// serial path's order, keeping output byte-identical.
+  /// Receives one file's filtered records; returning false stops the
+  /// query.
+  using ChunkSink = std::function<bool(const ParticleBuffer& chunk)>;
+
+  /// The plan executor behind every query entry point. Pool workers
+  /// fetch and filter each planned file into a per-file chunk, at most
+  /// `ReadEngine::concurrency()` files ahead; this thread hands the
+  /// non-empty chunks to `sink` in plan order, so output is
+  /// byte-identical to a serial loop at any pool size. The earliest
+  /// failing file in plan order is rethrown; after a failure or a sink
+  /// that returns false there are no more sink calls and no new fetches
+  /// (files already in flight are drained and still count in `stats`).
   /// `whole_file_fast_path` enables the contains_box shortcut (spatial
-  /// queries only; attribute queries must always filter). Returns
-  /// particles appended to `out`.
-  std::uint64_t filter_files_into(std::span<const FilePlan> files,
-                                  const Box3& box,
-                                  std::span<const RangeFilter> filters,
-                                  bool whole_file_fast_path,
-                                  ParticleBuffer& out,
-                                  ReadStats* stats) const;
+  /// queries only; attribute queries and the scan-all baseline always
+  /// filter). Returns particles delivered.
+  std::uint64_t execute_plan(std::span<const FilePlan> files, const Box3& box,
+                             std::span<const RangeFilter> filters,
+                             bool whole_file_fast_path, const ChunkSink& sink,
+                             ReadStats* stats) const;
+
+  /// `execute_plan` with a sink that appends every chunk to one buffer —
+  /// the body of `query_box` / `query` / `query_box_scan_all`.
+  ParticleBuffer collect_plan(std::span<const FilePlan> files,
+                              const Box3& box,
+                              std::span<const RangeFilter> filters,
+                              bool whole_file_fast_path,
+                              ReadStats* stats) const;
 
   std::filesystem::path dir_;
   DatasetMetadata meta_;

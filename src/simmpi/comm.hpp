@@ -419,7 +419,9 @@ class Comm {
                "payload size " << b.size() << " not a multiple of element size "
                                << sizeof(T));
     std::vector<T> out(b.size() / sizeof(T));
-    std::memcpy(out.data(), b.data(), b.size());
+    // An empty contribution has null data(); memcpy's pointers must not
+    // be null even for a zero size.
+    if (!b.empty()) std::memcpy(out.data(), b.data(), b.size());
     return out;
   }
 

@@ -94,7 +94,9 @@ class BinaryReader {
     static_assert(std::is_trivially_copyable_v<T>);
     require(count * sizeof(T));
     std::vector<T> out(count);
-    std::memcpy(out.data(), bytes_.data() + pos_, count * sizeof(T));
+    // An empty span has null data(): skip the zero-size memcpy.
+    if (count > 0)
+      std::memcpy(out.data(), bytes_.data() + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return out;
   }

@@ -36,17 +36,6 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   return fut;
 }
 
-void ThreadPool::run_batch(std::vector<std::function<void()>> tasks) {
-  if (workers_.empty()) {
-    for (auto& t : tasks) t();
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (auto& t : tasks) futures.push_back(submit(std::move(t)));
-  for (auto& f : futures) f.wait();
-}
-
 void ThreadPool::drain_and_stop() {
   {
     std::lock_guard lk(mu_);

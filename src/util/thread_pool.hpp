@@ -59,13 +59,6 @@ class ThreadPool {
   /// after `drain_and_stop` — run `fn` before returning.
   std::future<void> submit(std::function<void()> fn);
 
-  /// Run every task of `tasks` and block until all have completed.
-  /// Task order of *completion* is unspecified; callers that need a
-  /// deterministic result order must write into per-task slots and merge
-  /// after this returns. Exceptions are captured per task; `run_batch`
-  /// itself does not throw on task failure (inspect per-task state).
-  void run_batch(std::vector<std::function<void()>> tasks);
-
   /// Finish every queued task, join the workers, and switch the pool to
   /// inline execution. Idempotent and safe to call from any thread that
   /// is not itself a pool worker. This is the QueryService shutdown

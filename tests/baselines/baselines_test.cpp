@@ -3,7 +3,6 @@
 #include <set>
 
 #include "baselines/fpp.hpp"
-#include "baselines/ior_like.hpp"
 #include "baselines/rank_order.hpp"
 #include "baselines/shared_file.hpp"
 #include "simmpi/runtime.hpp"
@@ -182,45 +181,6 @@ TEST(RankOrder, QueryMustTouchEveryFile) {
   EXPECT_EQ(out.size(), 100u);
   EXPECT_EQ(rs.files_opened, 4);
   EXPECT_EQ(rs.particles_scanned, 800u);
-}
-
-TEST(IorLike, FppModeWritesExpectedVolume) {
-  TempDir dir("ior");
-  simmpi::run(4, [&](simmpi::Comm& comm) {
-    IorConfig cfg;
-    cfg.dir = dir.path();
-    cfg.block_bytes = 256 * 1024;
-    cfg.transfer_bytes = 64 * 1024;
-    const IorResult r = ior_write(comm, cfg);
-    EXPECT_EQ(r.total_bytes, 4u * 256 * 1024);
-    EXPECT_GT(r.write_seconds, 0.0);
-    EXPECT_GT(r.throughput_gbs(), 0.0);
-  });
-  for (int r = 0; r < 4; ++r)
-    EXPECT_EQ(file_size_bytes(dir.file("ior_" + std::to_string(r) + ".bin")),
-              256u * 1024);
-}
-
-TEST(IorLike, SharedModeProducesOneFile) {
-  TempDir dir("ior");
-  simmpi::run(4, [&](simmpi::Comm& comm) {
-    IorConfig cfg;
-    cfg.dir = dir.path();
-    cfg.mode = IorMode::kSharedFile;
-    cfg.block_bytes = 128 * 1024;
-    cfg.transfer_bytes = 32 * 1024;
-    ior_write(comm, cfg);
-  });
-  EXPECT_EQ(file_size_bytes(dir.file("ior_shared.bin")), 4u * 128 * 1024);
-}
-
-TEST(IorLike, RejectsBadConfig) {
-  EXPECT_THROW(simmpi::run(1,
-                           [&](simmpi::Comm& comm) {
-                             IorConfig cfg;  // dir unset
-                             ior_write(comm, cfg);
-                           }),
-               ConfigError);
 }
 
 }  // namespace

@@ -127,8 +127,8 @@ void run_chaos_serve(std::uint64_t seed) {
   std::thread chaos([&] {
     // Torn read mid-saturation: truncate the victim in place and drop
     // the cache so in-flight and future queries must touch the torn
-    // file. `fetch_file` surfaces it as FormatError (size mismatch) or
-    // IoError (short read) — typed, never silent.
+    // file. `fetch_file_records` surfaces it as FormatError (size
+    // mismatch) or IoError (short read) — typed, never silent.
     while (svc.stats().inflight == 0) std::this_thread::yield();
     std::filesystem::resize_file(victim, original.size() / 2);
     eng.clear_cache();

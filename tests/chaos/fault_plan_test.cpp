@@ -29,8 +29,9 @@ TEST(FaultPlan, RandomPlansAreRecoverableByConstruction) {
     EXPECT_FALSE(p.messages.empty());
     // At most one rule per tag: stacked rules on one tag would make the
     // second rule's trigger depend on retransmission timing.
-    if (p.messages.size() == 2)
+    if (p.messages.size() == 2) {
       EXPECT_NE(p.messages[0].tag, p.messages[1].tag);
+    }
     EXPECT_LE(p.messages.size(), 2u);
     for (const MessageRule& r : p.messages) {
       // Only the writer's data tags — never ACKs, never wildcards — and

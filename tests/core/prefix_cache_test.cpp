@@ -230,7 +230,9 @@ TEST(PrefixCacheProperty, MirrorBytesAreChargedEvictedAndInvalidatedWithPrefix) 
             if (got) {
               ASSERT_TRUE(block_matches(*got, key, sigs[k]));
               // A returned mirror always describes the returned bytes.
-              if (m) ASSERT_EQ(m->size(), got->size() / kRecord);
+              if (m) {
+                ASSERT_EQ(m->size(), got->size() / kRecord);
+              }
             } else {
               ASSERT_EQ(m, nullptr);
             }
@@ -293,7 +295,9 @@ TEST(PrefixCacheProperty, ChargeEqualsEvictExactlyWhenAllInsertsAdmitted) {
           }
           default: {
             const auto got = cache.lookup(key, sigs[k]);
-            if (got) ASSERT_TRUE(block_matches(*got, key, sigs[k]));
+            if (got) {
+              ASSERT_TRUE(block_matches(*got, key, sigs[k]));
+            }
             break;
           }
         }

@@ -179,7 +179,9 @@ TEST_F(PlannerSuite, PlansAreInternallyConsistent) {
     const RandomQuery q = random_query(rng, ds.metadata(), levels);
     const QueryPlan plan = ds.plan_query(q.box, q.filters, q.levels);
     const QueryPlan ref = ds.plan_reference(q.box, q.filters, q.levels);
-    if (!forced_linear()) EXPECT_FALSE(plan.used_linear);
+    if (!forced_linear()) {
+      EXPECT_FALSE(plan.used_linear);
+    }
     EXPECT_TRUE(ref.used_linear);
     EXPECT_EQ(plan.files_considered,
               static_cast<int>(plan.files.size()) + plan.files_skipped);

@@ -9,17 +9,23 @@
 ///      faster,
 ///   3. the buffer cache counts hits/misses/evictions correctly, a zero
 ///      budget reproduces plain reads exactly, and entries are never
-///      served stale after a dataset is rewritten in place.
+///      served stale after a dataset is rewritten in place,
+///   4. the plan executor behind every entry point raises the earliest
+///      failing file in plan order and, after a failure or a stopping
+///      sink, delivers nothing more and fetches at most a window ahead.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/distributed_read.hpp"
@@ -520,6 +526,113 @@ TEST_F(ReadEngineQueries, ConcurrentQueriesOnOneDatasetStayByteIdentical) {
   });
   EXPECT_EQ(ok.size(), 12u);
   for (const bool b : ok) EXPECT_TRUE(b);
+}
+
+// ---- 4. executor error and stop rules ----
+
+/// Installs a fetch hook that counts every real disk read and throws
+/// `IoError` for the named data files; removes it on destruction.
+class FailingFetches {
+ public:
+  explicit FailingFetches(std::vector<std::string> failing)
+      : failing_(std::move(failing)) {
+    ReadEngine::instance().set_fetch_hook(
+        [this](const std::filesystem::path& p, std::uint64_t) {
+          reads_.fetch_add(1);
+          const std::string name = p.filename().string();
+          for (const std::string& f : failing_)
+            if (name == f) throw IoError("injected read failure in " + name);
+        });
+  }
+  ~FailingFetches() { ReadEngine::instance().set_fetch_hook(nullptr); }
+
+  int reads() const { return reads_.load(); }
+  void reset() { reads_.store(0); }
+
+ private:
+  std::vector<std::string> failing_;
+  std::atomic<int> reads_{0};
+};
+
+TEST_F(ReadEngineQueries, ExecutorRaisesEarliestFailureAndStopsDelivering) {
+  const Dataset ds = Dataset::open(dir_->path());
+  const Schema& schema = ds.metadata().schema;
+  const Box3 box = ds.metadata().domain;
+  const std::vector<Dataset::RangeFilter> filters{
+      {schema.index_of("density"), 0, -1e30, 1e30}};
+  // The whole domain plans every file, and every file has particles in
+  // it, so each planned file yields one non-empty chunk.
+  const std::vector<FilePlan> plan = ds.plan_query(box, {}).files;
+  ASSERT_EQ(plan.size(), static_cast<std::size_t>(kRanks));
+  const auto name_at = [&](std::size_t k) {
+    return ds.metadata().files[static_cast<std::size_t>(plan[k].file)]
+        .file_name();
+  };
+  constexpr std::size_t kEarly = 2, kLate = 5;
+  const std::string early = name_at(kEarly);
+
+  ReadEngine& eng = ReadEngine::instance();
+  for (const int threads : {1, 4}) {
+    for (const std::uint64_t budget : {0ull, 64ull << 20}) {
+      EngineConfig cfg(threads, budget);
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " budget=" + std::to_string(budget);
+      const auto expect_early_error = [&](const char* entry,
+                                          const std::function<void()>& run) {
+        eng.clear_cache();
+        try {
+          run();
+          ADD_FAILURE() << entry << " did not throw, " << where;
+        } catch (const IoError& e) {
+          EXPECT_NE(std::string(e.what()).find(early), std::string::npos)
+              << entry << " raised '" << e.what() << "', " << where;
+        }
+      };
+      {
+        FailingFetches hook({name_at(kLate), early});
+        expect_early_error("query_box", [&] { ds.query_box(box); });
+        expect_early_error("query", [&] { ds.query(box, filters); });
+        std::size_t calls = 0;
+        expect_early_error("stream_box", [&] {
+          ds.stream_box(box, [&](const ParticleBuffer&) {
+            ++calls;
+            return true;
+          });
+        });
+        // Only the chunks before the failing file reach the sink.
+        EXPECT_EQ(calls, kEarly) << where;
+
+        // A sink that stops before the failing file ends the query
+        // normally, even when the failing file was already prefetched.
+        eng.clear_cache();
+        calls = 0;
+        EXPECT_NO_THROW(ds.stream_box(box, [&](const ParticleBuffer&) {
+          return ++calls < kEarly;
+        })) << where;
+        EXPECT_EQ(calls, kEarly) << where;
+      }
+      {
+        // After the sink stops on chunk k, at most `concurrency()` files
+        // past it have been fetched — exactly none with a pool of 1.
+        FailingFetches hook({});
+        for (const std::size_t stop_at : {std::size_t{0}, std::size_t{3}}) {
+          eng.clear_cache();
+          hook.reset();
+          std::size_t calls = 0;
+          ds.stream_box(box, [&](const ParticleBuffer&) {
+            return calls++ < stop_at;
+          });
+          EXPECT_EQ(calls, stop_at + 1) << where;
+          const int past = hook.reads() - static_cast<int>(stop_at + 1);
+          EXPECT_GE(past, 0) << where;
+          EXPECT_LE(past, eng.concurrency()) << where;
+          if (threads == 1) {
+            EXPECT_EQ(past, 0) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

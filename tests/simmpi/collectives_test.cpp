@@ -191,6 +191,38 @@ TEST(Collectives, AlltoallvAllEmpty) {
   });
 }
 
+TEST(Collectives, EmptyContributionsRoundTrip) {
+  // Rank 0 contributes nothing to every variable-length collective; the
+  // empty payloads must arrive as empty vectors, beside non-empty ones.
+  constexpr int kRanks = 3;
+  run(kRanks, [](Comm& comm) {
+    std::vector<int> mine;
+    if (comm.rank() != 0) mine.push_back(comm.rank());
+    const auto all = comm.allgatherv<int>(mine);
+    const auto at0 = comm.gatherv<int>(mine, /*root=*/0);
+    std::vector<std::vector<int>> send_to(kRanks);
+    if (comm.rank() != 0)
+      for (int d = 0; d < kRanks; ++d) send_to[d] = {comm.rank() * 10 + d};
+    const auto recv_from = comm.alltoallv(send_to);
+
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(kRanks));
+    ASSERT_EQ(recv_from.size(), static_cast<std::size_t>(kRanks));
+    EXPECT_TRUE(all[0].empty());
+    EXPECT_TRUE(recv_from[0].empty());
+    for (int r = 1; r < kRanks; ++r) {
+      EXPECT_EQ(all[r], std::vector<int>{r});
+      EXPECT_EQ(recv_from[r], std::vector<int>{r * 10 + comm.rank()});
+    }
+    if (comm.rank() == 0) {
+      ASSERT_EQ(at0.size(), static_cast<std::size_t>(kRanks));
+      EXPECT_TRUE(at0[0].empty());
+      EXPECT_EQ(at0[2], std::vector<int>{2});
+    } else {
+      EXPECT_TRUE(at0.empty());
+    }
+  });
+}
+
 TEST(Collectives, MixedCollectivesAndP2pInterleave) {
   run(4, [](Comm& comm) {
     for (int iter = 0; iter < 20; ++iter) {
