@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   });
 
   for (int step = 1; step <= kTimesteps; ++step) {
-    const auto dir = base / ("t" + std::to_string(step));
+    const auto dir = base / std::string("t").append(std::to_string(step));
     WriteStats job{};
     std::mutex mu;
     simmpi::run(kRanks, [&](simmpi::Comm& comm) {
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   }
 
   // --- step 3: restart read on a smaller machine (4 ranks, not 16).
-  const auto last = base / ("t" + std::to_string(kTimesteps));
+  const auto last = base / std::string("t").append(std::to_string(kTimesteps));
   std::mutex mu;
   std::uint64_t restored = 0;
   simmpi::run(4, [&](simmpi::Comm& comm) {

@@ -57,50 +57,23 @@ int lod_level_count(const LodParams& p, int n_readers, std::uint64_t total) {
 
 namespace {
 
-void shuffle_random(ParticleBuffer& buf, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  const std::size_t n = buf.size();
-  // Fisher–Yates: after the pass, every permutation is equally likely, so
-  // every prefix is a uniform random subset — exactly the property the LOD
-  // prefix reads rely on.
-  for (std::size_t i = n; i > 1; --i) {
-    const std::size_t j =
-        static_cast<std::size_t>(rng.uniform_index(static_cast<std::uint64_t>(i)));
-    buf.swap_records(i - 1, j);
-  }
-}
+using Order = std::vector<const std::byte*>;
 
-/// Rebuild `buf` as the permutation buf[order[0]], buf[order[1]], ... via
-/// one pre-sized allocation and one record memcpy per particle (the
-/// per-record append path re-checked bounds and grew the vector
-/// incrementally).
-void gather_records(ParticleBuffer& buf,
-                    const std::vector<std::uint32_t>& order) {
-  const std::size_t rs = buf.record_size();
-  const std::byte* src = buf.bytes().data();
-  std::vector<std::byte> out(order.size() * rs);
-  std::byte* dst = out.data();
-  for (const std::uint32_t idx : order) {
-    std::memcpy(dst, src + static_cast<std::size_t>(idx) * rs, rs);
-    dst += rs;
-  }
-  buf.adopt_bytes(std::move(out));
-}
-
-/// Indices 0..2^bits-1 in bit-reversed order, filtered to < n.
-std::vector<std::uint32_t> bit_reversed_order(std::size_t n) {
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  if (n == 0) return order;
+/// `recs` in bit-reversed index order (0..2^bits-1 reversed, filtered to
+/// < n): every prefix visits the sequence at even spacing.
+Order bit_reversed(const Order& recs) {
+  const std::size_t n = recs.size();
+  Order out;
+  out.reserve(n);
   std::size_t bits = 0;
   while ((1ULL << bits) < n) ++bits;
   for (std::size_t i = 0; i < (1ULL << bits); ++i) {
     std::size_t rev = 0;
     for (std::size_t b = 0; b < bits; ++b)
       if (i & (1ULL << b)) rev |= 1ULL << (bits - 1 - b);
-    if (rev < n) order.push_back(static_cast<std::uint32_t>(rev));
+    if (rev < n) out.push_back(recs[rev]);
   }
-  return order;
+  return out;
 }
 
 /// 30-bit Morton code (10 bits per axis) of a normalized position.
@@ -123,68 +96,88 @@ std::uint32_t morton_code(const Vec3d& rel) {
                                     (spread(quantize(rel.z)) << 2));
 }
 
-void shuffle_stratified(ParticleBuffer& buf, std::uint64_t seed) {
-  const std::size_t n = buf.size();
-  if (n < 2) return;
-  const Box3 bounds = buf.bounds();
-  const Vec3d size = Vec3d::max(bounds.size(), Vec3d(1e-300));
+/// Fisher–Yates: after the pass, every permutation is equally likely, so
+/// every prefix is a uniform random subset — exactly the property the LOD
+/// prefix reads rely on.
+void shuffle_random(Order& recs, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  for (std::size_t i = recs.size(); i > 1; --i)
+    std::swap(recs[i - 1], recs[static_cast<std::size_t>(rng.uniform_index(
+                               static_cast<std::uint64_t>(i)))]);
+}
 
-  // Sort particle indices along the Morton curve; ties (same cell) are
-  // broken pseudo-randomly so co-located particles do not keep their
-  // input order.
+/// Sort `recs` along the Morton curve of their positions; ties (same
+/// cell) are broken pseudo-randomly so co-located particles do not keep
+/// their input order.
+void sort_morton(Order& recs, std::uint64_t seed) {
+  const auto position = [](const std::byte* rec) {
+    Vec3d p;
+    std::memcpy(&p, rec, sizeof(Vec3d));
+    return p;
+  };
+  Box3 bounds = Box3::empty();
+  for (const std::byte* rec : recs) bounds.extend(position(rec));
+  const Vec3d size = Vec3d::max(bounds.size(), Vec3d(1e-300));
   struct Key {
     std::uint32_t morton;
     std::uint32_t tiebreak;
-    std::uint32_t index;
+    const std::byte* rec;
   };
-  std::vector<Key> keys(n);
+  std::vector<Key> keys;
+  keys.reserve(recs.size());
   Xoshiro256 rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec3d rel = (buf.position(i) - bounds.lo) / size;
-    keys[i] = {morton_code(rel), static_cast<std::uint32_t>(rng.next()),
-               static_cast<std::uint32_t>(i)};
-  }
+  for (const std::byte* rec : recs)
+    keys.push_back({morton_code((position(rec) - bounds.lo) / size),
+                    static_cast<std::uint32_t>(rng.next()), rec});
   std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
     return a.morton != b.morton ? a.morton < b.morton
                                 : a.tiebreak < b.tiebreak;
   });
-
-  // Emit the space-sorted sequence in bit-reversed rank order: each
-  // prefix visits the Morton curve at even spacing, i.e. is spatially
-  // stratified.
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  for (const std::uint32_t r : bit_reversed_order(n))
-    order.push_back(keys[r].index);
-  gather_records(buf, order);
-}
-
-void shuffle_stride(ParticleBuffer& buf) {
-  // Deterministic interleave: emit indices 0, n/2, n/4, 3n/4, ... —
-  // bit-reversed order over the input sequence. Applied out of place
-  // (records are large; a cycle-walk in place would touch each record
-  // twice anyway).
-  const std::size_t n = buf.size();
-  if (n < 2) return;
-  gather_records(buf, bit_reversed_order(n));
+  for (std::size_t i = 0; i < keys.size(); ++i) recs[i] = keys[i].rec;
 }
 
 }  // namespace
 
-void lod_reorder(ParticleBuffer& buf, std::uint64_t seed,
-                 LodHeuristic heuristic) {
+std::vector<const std::byte*> lod_order(
+    std::span<const std::span<const std::byte>> segments,
+    std::size_t record_size, std::uint64_t seed, LodHeuristic heuristic) {
+  SPIO_EXPECTS(record_size > 0);
+  std::size_t bytes = 0;
+  for (const auto& seg : segments) bytes += seg.size();
+  Order recs;
+  recs.reserve(bytes / record_size);
+  for (const auto& seg : segments) {
+    SPIO_EXPECTS(seg.size() % record_size == 0);
+    for (std::size_t off = 0; off < seg.size(); off += record_size)
+      recs.push_back(seg.data() + off);
+  }
   switch (heuristic) {
     case LodHeuristic::kRandom:
-      shuffle_random(buf, seed);
-      return;
+      shuffle_random(recs, seed);
+      return recs;
     case LodHeuristic::kStride:
-      shuffle_stride(buf);
-      return;
+      // Deterministic interleave over the input order.
+      return bit_reversed(recs);
     case LodHeuristic::kStratified:
-      shuffle_stratified(buf, seed);
-      return;
+      // Space-sorted, then bit-reversed: every prefix visits the Morton
+      // curve at even spacing, i.e. is spatially stratified.
+      sort_morton(recs, seed);
+      return bit_reversed(recs);
   }
   throw ConfigError("unknown LOD heuristic");
+}
+
+void lod_reorder(ParticleBuffer& buf, std::uint64_t seed,
+                 LodHeuristic heuristic) {
+  const std::size_t rs = buf.record_size();
+  const std::span<const std::byte> all = buf.bytes();
+  std::vector<std::byte> out(all.size());
+  std::byte* dst = out.data();
+  for (const std::byte* rec : lod_order({&all, 1}, rs, seed, heuristic)) {
+    std::memcpy(dst, rec, rs);
+    dst += rs;
+  }
+  buf.adopt_bytes(std::move(out));
 }
 
 }  // namespace spio

@@ -2,7 +2,7 @@
 
 /// \file lod.hpp
 /// Level-of-detail ordering (paper §3.4). Aggregated particles are
-/// re-shuffled in place so that any prefix of a data file is a uniform
+/// re-shuffled so that any prefix of a data file is a uniform
 /// random subset of its particles; reading "one more level" means reading
 /// further into the file.
 ///
@@ -12,7 +12,10 @@
 /// (default 2). The last level holds the remainder. Because levels are
 /// plain subsets, the layout adds no storage overhead.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/particle_buffer.hpp"
@@ -71,9 +74,17 @@ enum class LodHeuristic : std::uint8_t {
   kStratified = 2,
 };
 
-/// Re-order `buf` in place into LOD order with the given heuristic. The
-/// shuffle is deterministic in `seed`; writers derive the seed from the
-/// partition id so re-running a write reproduces files bit-for-bit.
+/// LOD order of the records in `segments`, concatenated in the order
+/// given (whole `record_size`-byte records, position first): entry k
+/// points at the record that goes to position k. Deterministic in
+/// `seed`; writers derive the seed from the partition id so re-running a
+/// write reproduces files bit-for-bit.
+std::vector<const std::byte*> lod_order(
+    std::span<const std::span<const std::byte>> segments,
+    std::size_t record_size, std::uint64_t seed,
+    LodHeuristic heuristic = LodHeuristic::kRandom);
+
+/// Re-order `buf` into LOD order: the one-segment case of `lod_order`.
 void lod_reorder(ParticleBuffer& buf, std::uint64_t seed,
                  LodHeuristic heuristic = LodHeuristic::kRandom);
 

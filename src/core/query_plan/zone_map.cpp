@@ -123,15 +123,27 @@ bool ZoneMapTable::present(const std::filesystem::path& dir) {
   return std::filesystem::is_regular_file(dir / kFileName, ec);
 }
 
-std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
-                                          const LodParams& lod) {
-  if (buf.empty()) return {};
-  const Schema& s = buf.schema();
+namespace {
 
-  struct Comp {
-    std::size_t offset;
-    bool f64;
-  };
+/// One field component of a record: its byte offset and whether it is
+/// f64 (else f32).
+struct Comp {
+  std::size_t offset;
+  bool f64;
+
+  double load(const std::byte* rec) const {
+    if (f64) {
+      double v;
+      std::memcpy(&v, rec + offset, sizeof(double));
+      return v;
+    }
+    float fv;
+    std::memcpy(&fv, rec + offset, sizeof(float));
+    return static_cast<double>(fv);
+  }
+};
+
+std::vector<Comp> components(const Schema& s) {
   std::vector<Comp> comps;
   for (std::size_t f = 0; f < s.field_count(); ++f) {
     const FieldDesc& fd = s.fields()[f];
@@ -139,35 +151,32 @@ std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
     for (std::uint32_t c = 0; c < fd.components; ++c)
       comps.push_back({s.offset(f) + c * elem, fd.type == FieldType::kF64});
   }
+  return comps;
+}
 
-  const std::uint64_t n = buf.size();
-  const std::uint32_t zones = zone_file_count(lod, n);
+}  // namespace
+
+void add_zone_maps(std::vector<FieldRange>& zones,
+                   std::span<const std::byte> records, const Schema& schema,
+                   const LodParams& lod, std::uint64_t first,
+                   std::uint64_t n) {
+  const std::vector<Comp> comps = components(schema);
+  const std::size_t rs = schema.record_size();
+  SPIO_EXPECTS(records.size() % rs == 0 && first + records.size() / rs <= n);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<FieldRange> out(std::size_t{zones} * comps.size(),
-                              FieldRange{kInf, -kInf});
-
-  const std::byte* base = buf.bytes().data();
-  const std::size_t rs = buf.record_size();
+  if (zones.empty())
+    zones.assign(std::size_t{zone_file_count(lod, n)} * comps.size(),
+                 FieldRange{kInf, -kInf});
   std::uint32_t z = 0;
   std::uint64_t next = zone_begin(lod, 1, n);
-  // Record-major, like compute_field_ranges: each record updates all of
-  // its zone's component ranges while it sits in cache.
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (i == next) {
-      ++z;
-      next = zone_begin(lod, z + 1, n);
-    }
-    const std::byte* rec = base + i * rs;
-    FieldRange* zr = out.data() + std::size_t{z} * comps.size();
+  // Record-major, like add_field_ranges: each record updates all of its
+  // zone's component ranges while it sits in cache.
+  for (std::uint64_t i = first; i < first + records.size() / rs; ++i) {
+    while (i >= next) next = zone_begin(lod, ++z + 1, n);
+    const std::byte* rec = records.data() + (i - first) * rs;
+    FieldRange* zr = zones.data() + std::size_t{z} * comps.size();
     for (std::size_t c = 0; c < comps.size(); ++c) {
-      double v;
-      if (comps[c].f64) {
-        std::memcpy(&v, rec + comps[c].offset, sizeof(double));
-      } else {
-        float fv;
-        std::memcpy(&fv, rec + comps[c].offset, sizeof(float));
-        v = static_cast<double>(fv);
-      }
+      const double v = comps[c].load(rec);
       if (std::isnan(v)) {
         // Filter kernels pass NaN, so the zone must match everything.
         zr[c] = {-kInf, kInf};
@@ -177,7 +186,34 @@ std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
       }
     }
   }
-  return out;
+}
+
+std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
+                                          const LodParams& lod) {
+  std::vector<FieldRange> zones;
+  add_zone_maps(zones, buf.bytes(), buf.schema(), lod, 0, buf.size());
+  return zones;
+}
+
+void add_field_ranges(std::vector<FieldRange>& ranges,
+                      std::span<const std::byte> records,
+                      const Schema& schema) {
+  const std::vector<Comp> comps = components(schema);
+  const std::size_t rs = schema.record_size();
+  SPIO_EXPECTS(records.size() % rs == 0);
+  // Folding the seed record in again changes nothing, NaN seeds included.
+  if (ranges.empty() && !records.empty())
+    for (const Comp& c : comps)
+      ranges.push_back({c.load(records.data()), c.load(records.data())});
+  // Record-major: every record is touched once, all component ranges are
+  // updated from it while it is in cache.
+  for (std::size_t off = 0; off < records.size(); off += rs) {
+    for (std::size_t c = 0; c < comps.size(); ++c) {
+      const double v = comps[c].load(records.data() + off);
+      ranges[c].min = std::min(ranges[c].min, v);
+      ranges[c].max = std::max(ranges[c].max, v);
+    }
+  }
 }
 
 std::vector<FieldRange> zone_union(const std::vector<FieldRange>& zones,

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <vector>
 
 #include "core/metadata.hpp"
@@ -71,13 +72,30 @@ struct ZoneMapTable {
   static bool present(const std::filesystem::path& dir);
 };
 
-/// One record-major pass over a LOD-ordered buffer: the zone-major
-/// min/max table of every field component. Empty buffer -> empty table.
+/// Fold `records` (whole records of `schema`, starting at record `first`
+/// of an `n`-record LOD-ordered file) into the file's zone-major min/max
+/// table of every field component; an empty `zones` is sized first.
+/// Feeding a file in order in chunks gives the table of one call.
+void add_zone_maps(std::vector<FieldRange>& zones,
+                   std::span<const std::byte> records, const Schema& schema,
+                   const LodParams& lod, std::uint64_t first,
+                   std::uint64_t n);
+
+/// The zone table of a whole LOD-ordered buffer. Empty buffer -> empty
+/// table.
 std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
                                           const LodParams& lod);
 
+/// Fold `records` (whole records of `schema`, in file order) into the
+/// file-level field ranges (§3.5 metadata extension): an empty `ranges`
+/// is seeded from the first record; after it, `std::min`/`std::max` skip
+/// NaNs.
+void add_field_ranges(std::vector<FieldRange>& ranges,
+                      std::span<const std::byte> records,
+                      const Schema& schema);
+
 /// Union of all zones per component — the file-level field ranges. Unlike
-/// `compute_field_ranges` this is NaN-aware: poisoned zones widen the
+/// `add_field_ranges` this is NaN-aware: poisoned zones widen the
 /// union to [-inf, +inf] instead of dropping the values.
 std::vector<FieldRange> zone_union(const std::vector<FieldRange>& zones,
                                    std::size_t range_count);

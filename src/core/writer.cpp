@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <span>
 #include <string>
@@ -134,17 +135,6 @@ std::map<std::string, std::string> config_echo(const WriterConfig& c) {
   out["journal"] = yesno(c.journal);
   out["fault_injection"] = yesno(c.faults != nullptr);
   return out;
-}
-
-double load_component(const std::byte* p, bool f64) {
-  if (f64) {
-    double v;
-    std::memcpy(&v, p, sizeof(double));
-    return v;
-  }
-  float v;
-  std::memcpy(&v, p, sizeof(float));
-  return static_cast<double>(v);
 }
 
 /// The failing rank's partial stats for the postmortem bundle: whatever
@@ -348,46 +338,6 @@ BinnedParticles bin_particles_reference(const ParticleBuffer& local,
   return out;
 }
 
-std::vector<FieldRange> compute_field_ranges(const ParticleBuffer& buf) {
-  SPIO_EXPECTS(!buf.empty());
-  const Schema& s = buf.schema();
-
-  // Flattened component directory: byte offset within a record + type.
-  struct Comp {
-    std::size_t offset;
-    bool f64;
-  };
-  std::vector<Comp> comps;
-  for (std::size_t f = 0; f < s.field_count(); ++f) {
-    const FieldDesc& fd = s.fields()[f];
-    const std::size_t elem = field_type_size(fd.type);
-    for (std::uint32_t c = 0; c < fd.components; ++c)
-      comps.push_back({s.offset(f) + c * elem, fd.type == FieldType::kF64});
-  }
-
-  const std::byte* base = buf.bytes().data();
-  const std::size_t rs = buf.record_size();
-  const std::size_t n = buf.size();
-
-  // Record-major: every record is touched once, all component ranges are
-  // updated from it while it is in cache (vs. fields x components sweeps
-  // over the whole AoS buffer).
-  std::vector<FieldRange> ranges(comps.size());
-  for (std::size_t c = 0; c < comps.size(); ++c) {
-    const double v = load_component(base + comps[c].offset, comps[c].f64);
-    ranges[c].min = ranges[c].max = v;
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::byte* rec = base + i * rs;
-    for (std::size_t c = 0; c < comps.size(); ++c) {
-      const double v = load_component(rec + comps[c].offset, comps[c].f64);
-      ranges[c].min = std::min(ranges[c].min, v);
-      ranges[c].max = std::max(ranges[c].max, v);
-    }
-  }
-  return ranges;
-}
-
 }  // namespace writer_detail
 
 WriteStats WriteStats::max_over(const WriteStats& a, const WriteStats& b) {
@@ -586,17 +536,16 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
   }
   stats.meta_exchange_seconds = seconds_since(t0);
 
-  // ---- steps 4 + 5: allocate aggregation buffer, exchange particles ----
+  // ---- steps 4 + 5: exchange particles ----
   enter_phase(faultsim::WritePhase::kParticleExchange);
   phase.begin("write.particle_exchange");
   t0 = Clock::now();
   // Self-send elision: a bin whose aggregator is this rank is spliced
-  // into the aggregation buffer directly instead of looping through the
-  // mailbox. Disabled under fault injection so scripted transport faults
-  // keep addressing the same message sites as before.
+  // into the LOD order directly instead of looping through the mailbox.
+  // Disabled under fault injection so scripted transport faults keep
+  // addressing the same message sites as before.
   bool self_elided = false;
   std::span<const std::byte> self_bytes{};
-  std::vector<std::byte> self_owned;  // keeps a general-path self bin alive
 
   std::vector<faultsim::Outbound> particle_msgs;
   if (fast_partition >= 0) {
@@ -619,8 +568,7 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
     const int agg = plan.aggregator_of(bins.partitions[b]);
     if (agg == rank && !config.faults) {
       self_elided = true;
-      self_owned = std::move(bins.payloads[b]);
-      self_bytes = self_owned;
+      self_bytes = bins.payloads[b];
       continue;
     }
     if (agg != rank) {
@@ -639,53 +587,54 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
     particle_senders.push_back(count_senders[i]);
   }
 
-  ParticleBuffer aggregated(local.schema());
   // Deterministic assembly order (ascending sender rank, the elided local
-  // payload spliced at this rank's ordinal) makes the aggregated buffer —
-  // and therefore the shuffled file — reproducible and byte-identical to
-  // the pre-elision protocol.
-  auto particle_payloads =
+  // payload spliced at this rank's ordinal) makes the LOD order — and
+  // therefore the file — reproducible and byte-identical to the
+  // pre-elision protocol. The payloads are never concatenated: the order
+  // points straight into them.
+  const auto particle_payloads =
       exchange(std::move(particle_msgs), particle_senders, kTagData);
-  if (particle_payloads.size() == 1 && !self_elided) {
-    // Single remote contributor: adopt the payload, zero copies.
-    aggregated.adopt_bytes(std::move(particle_payloads[0]));
-  } else if (particle_payloads.empty() && self_elided &&
-             !self_owned.empty()) {
-    // Sole contributor is this rank's own general-path bin: adopt it.
-    aggregated.adopt_bytes(std::move(self_owned));
-  } else {
-    aggregated.reserve(incoming_total);
-    std::size_t next = 0;
-    bool spliced = !self_elided;
-    for (const int s : particle_senders) {
-      if (!spliced && rank < s) {
-        aggregated.append_bytes(self_bytes);
-        spliced = true;
-      }
-      aggregated.append_bytes(particle_payloads[next++]);
-    }
-    if (!spliced) aggregated.append_bytes(self_bytes);
+  const std::size_t rs = local.record_size();
+  std::vector<std::span<const std::byte>> segments(particle_payloads.begin(),
+                                                   particle_payloads.end());
+  if (self_elided) {
+    const auto at = std::upper_bound(particle_senders.begin(),
+                                     particle_senders.end(), rank);
+    segments.insert(segments.begin() + (at - particle_senders.begin()),
+                    self_bytes);
+  }
+  std::uint64_t received = 0;
+  for (const auto& seg : segments) {
+    SPIO_CHECK(seg.size() % rs == 0, FormatError,
+               "particle payload of " << seg.size()
+                                      << " bytes is not a multiple of the "
+                                      << rs << "-byte record");
+    received += seg.size() / rs;
   }
   if (my_partition >= 0) {
-    SPIO_CHECK(aggregated.size() == incoming_total, FormatError,
-               "aggregator " << rank << " assembled " << aggregated.size()
+    SPIO_CHECK(received == incoming_total, FormatError,
+               "aggregator " << rank << " assembled " << received
                              << " particles but metadata promised "
                              << incoming_total);
   }
   stats.particle_exchange_seconds = seconds_since(t0);
 
-  // ---- step 6: LOD re-ordering ----
+  // ---- step 6: LOD order ----
   phase.begin("write.reorder");
   t0 = Clock::now();
-  if (!aggregated.empty()) {
-    lod_reorder(aggregated,
-                stream_seed(config.shuffle_seed,
-                            static_cast<std::uint64_t>(my_partition)),
-                config.heuristic);
-  }
+  const std::vector<const std::byte*> order = lod_order(
+      segments, rs,
+      stream_seed(config.shuffle_seed,
+                  static_cast<std::uint64_t>(my_partition)),
+      config.heuristic);
   stats.reorder_seconds = seconds_since(t0);
 
-  // ---- step 7: write the data file ----
+  // ---- step 7: gather, zone-map, checksum and write the data file ----
+  // One pass: each chunk of the LOD order is gathered from the payloads
+  // into a reused staging buffer, then folded into the zone maps, field
+  // ranges and CRC and written while it is still in cache. Under fault
+  // injection the staging buffer spans the whole file instead, for the
+  // validated write's read-back and rewrite.
   enter_phase(faultsim::WritePhase::kDataWrite);
   phase.begin("write.file_io");
   t0 = Clock::now();
@@ -693,39 +642,58 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
   std::uint64_t my_crc = 0;
   std::vector<FieldRange> my_zones;
   bool have_file = false;
-  if (my_partition >= 0 && !aggregated.empty()) {
+  // Freed, like the payloads, only after the closing barrier: a rank that
+  // freed it while others still allocate theirs would raise the
+  // allocator's mmap threshold, and their buffers would then stay
+  // resident in per-thread arenas after the job.
+  std::vector<std::byte> staging;
+  if (my_partition >= 0 && !order.empty()) {
+    const std::size_t n = order.size();
     my_record.partition_id = static_cast<std::uint32_t>(my_partition);
     my_record.aggregator_rank = static_cast<std::uint32_t>(rank);
-    my_record.particle_count = aggregated.size();
+    my_record.particle_count = n;
     my_record.bounds = plan.partitioning().partition_box(my_partition);
-    if (config.write_zone_maps) {
-      // One pass produces both artifacts: the per-LOD-level zone table
-      // and, as the union of its zones, the file-level field ranges.
-      my_zones = compute_zone_maps(aggregated, config.lod);
-      if (config.write_field_ranges) {
-        std::size_t rcount = 0;
-        for (const FieldDesc& fd : local.schema().fields())
-          rcount += fd.components;
-        my_record.field_ranges = zone_union(my_zones, rcount);
-      }
-    } else if (config.write_field_ranges) {
-      my_record.field_ranges = writer_detail::compute_field_ranges(aggregated);
-    }
     const auto path = config.dir / my_record.file_name();
-    if (config.faults) {
-      // Validated write: read back, compare checksums, rewrite torn or
-      // corrupted attempts within a bounded budget.
-      my_crc = faultsim::checked_write_file(path, aggregated.bytes(),
-                                            config.faults, rank);
-    } else if (config.write_checksums) {
-      // The CRC streams alongside the write — one pass over the buffer
-      // instead of a checksum scan followed by a write scan.
-      my_crc = crc64_write_file(path, aggregated.bytes());
-    } else {
-      write_file(path, aggregated.bytes());
+
+    const Schema& schema = local.schema();
+    std::ofstream file;
+    if (!config.faults) {
+      file.open(path, std::ios::binary | std::ios::trunc);
+      SPIO_CHECK(file, IoError,
+                 "cannot open '" << path.string() << "' for writing");
     }
-    stats.particles_written = aggregated.size();
-    stats.bytes_written = aggregated.byte_size();
+    Crc64 crc;
+    const std::size_t chunk = std::max<std::size_t>(1, kIoChunk / rs);
+    staging.resize((config.faults ? n : std::min(n, chunk)) * rs);
+    for (std::size_t first = 0; first < n; first += chunk) {
+      const std::size_t count = std::min(chunk, n - first);
+      std::byte* dst = staging.data() + (config.faults ? first * rs : 0);
+      for (std::size_t k = 0; k < count; ++k)
+        std::memcpy(dst + k * rs, order[first + k], rs);
+      const std::span<const std::byte> records(dst, count * rs);
+      // With zone maps, the file-level ranges are the union of the zones.
+      if (config.write_zone_maps) {
+        add_zone_maps(my_zones, records, schema, config.lod, first, n);
+      } else if (config.write_field_ranges) {
+        add_field_ranges(my_record.field_ranges, records, schema);
+      }
+      if (config.write_checksums) crc.update(records);
+      if (file.is_open()) {
+        file.write(reinterpret_cast<const char*>(records.data()),
+                   static_cast<std::streamsize>(records.size()));
+        SPIO_CHECK(file, IoError, "short write to '" << path.string() << "'");
+      }
+    }
+    // Validated write: read back, compare checksums, rewrite torn or
+    // corrupted attempts within a bounded budget.
+    my_crc = config.faults ? faultsim::checked_write_file(
+                                 path, staging, config.faults, rank)
+                           : crc.value();
+    if (config.write_zone_maps && config.write_field_ranges)
+      my_record.field_ranges = zone_union(
+          my_zones, my_zones.size() / zone_file_count(config.lod, n));
+    stats.particles_written = n;
+    stats.bytes_written = n * rs;
     stats.files_written = 1;
     stats.was_aggregator = true;
     have_file = true;

@@ -6,10 +6,11 @@
 ///   1. set up the aggregation grid          (§3.1)
 ///   2. select aggregators                   (§3.2)
 ///   3. exchange metadata (particle counts)  (§3.3)
-///   4. allocate aggregation buffers         (§3.3)
+///   4. size the aggregation from the counts (§3.3)
 ///   5. exchange particles                   (§3.3)
-///   6. re-order particles into LOD order    (§3.4)
-///   7. write one data file per partition    (§3.4)
+///   6. build the LOD order of the particles (§3.4)
+///   7. write one data file per partition, gathering it in LOD order
+///      chunk by chunk from the received payloads (§3.4)
 ///   8. gather bounds and write the spatial metadata file (§3.5)
 ///
 /// The adaptive variant (§6) prepends an all-to-all extent exchange and
@@ -67,8 +68,8 @@ struct WriterConfig {
   bool write_field_ranges = true;
 
   /// Write the `zones.spio` sidecar: per-file, per-LOD-level min/max of
-  /// every field component (query_plan/zone_map.hpp), computed during
-  /// the reorder phase at near-zero extra cost. Lets the query planner
+  /// every field component (query_plan/zone_map.hpp), computed in the
+  /// data file's write pass at near-zero extra cost. Lets the query planner
   /// skip whole files and LOD tails that provably contain no matches.
   bool write_zone_maps = true;
 
@@ -193,11 +194,6 @@ BinnedParticles bin_particles(const ParticleBuffer& local,
 BinnedParticles bin_particles_reference(const ParticleBuffer& local,
                                         const AggregationPlan& plan,
                                         bool use_fast_path);
-
-/// Min/max of every field component over the aggregated particles (§3.5
-/// metadata extension), in one record-major pass over the AoS buffer.
-/// Precondition: non-empty buffer.
-std::vector<FieldRange> compute_field_ranges(const ParticleBuffer& buf);
 
 }  // namespace writer_detail
 

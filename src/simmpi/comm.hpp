@@ -191,11 +191,6 @@ class Comm {
     return Request();
   }
 
-  Request isend_bytes(int dst, int tag, std::vector<std::byte> payload) {
-    send_bytes(dst, tag, std::move(payload));
-    return Request();
-  }
-
   /// Non-blocking receive into `out`; `out` must outlive wait().
   template <typename T>
   Request irecv(std::vector<T>& out, int src, int tag) {

@@ -31,15 +31,4 @@ void run(int nranks, const std::function<void(Comm&)>& rank_main);
 void run(int nranks, const RunOptions& options,
          const std::function<void(Comm&)>& rank_main);
 
-/// As `run`, but collects a per-rank result, indexed by rank.
-template <typename T>
-std::vector<T> run_collect(int nranks,
-                           const std::function<T(Comm&)>& rank_main) {
-  std::vector<T> results(static_cast<std::size_t>(nranks));
-  run(nranks, [&](Comm& comm) {
-    results[static_cast<std::size_t>(comm.rank())] = rank_main(comm);
-  });
-  return results;
-}
-
 }  // namespace simmpi

@@ -97,10 +97,6 @@ std::uint64_t update_raw(std::uint64_t crc, const std::byte* p,
   return crc;
 }
 
-// Chunk size for the combined write+checksum and streamed-read passes:
-// large enough to amortize stdio calls, small enough to stay in L2.
-constexpr std::size_t kIoChunk = 1 << 20;
-
 struct FileCloser {
   void operator()(std::FILE* f) const {
     if (f) std::fclose(f);

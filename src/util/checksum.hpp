@@ -12,7 +12,7 @@
 /// differential-testing reference and perf baseline. The streaming
 /// entry points (`Crc64`, `crc64_write_file`, `crc64_file`) let the hot
 /// write path fold checksumming into the file pass instead of re-scanning
-/// whole aggregation buffers.
+/// whole files.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +20,10 @@
 #include <span>
 
 namespace spio {
+
+/// Chunk size of the streamed write, checksum and read-back passes:
+/// large enough to amortize stdio calls, small enough to stay in L2.
+inline constexpr std::size_t kIoChunk = 1 << 20;
 
 /// Incremental CRC-64/XZ. Feeding a buffer in any chunking yields the
 /// same value as one `crc64` call over the concatenation.

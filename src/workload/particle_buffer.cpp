@@ -1,6 +1,6 @@
 #include "workload/particle_buffer.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace spio {
 
@@ -104,14 +104,6 @@ float ParticleBuffer::get_f32(std::size_t i, std::size_t field,
 void ParticleBuffer::set_f32(std::size_t i, std::size_t field,
                              std::size_t comp, float v) {
   std::memcpy(field_ptr(i, field, comp, sizeof(float)), &v, sizeof(float));
-}
-
-void ParticleBuffer::swap_records(std::size_t a, std::size_t b) {
-  SPIO_EXPECTS(a < size() && b < size());
-  if (a == b) return;
-  std::swap_ranges(data_.begin() + static_cast<std::ptrdiff_t>(a * record_size_),
-                   data_.begin() + static_cast<std::ptrdiff_t>((a + 1) * record_size_),
-                   data_.begin() + static_cast<std::ptrdiff_t>(b * record_size_));
 }
 
 void ParticleBuffer::truncate(std::size_t count) {

@@ -3,7 +3,7 @@
 /// \file particle_buffer.hpp
 /// AoS particle container: a schema plus a flat byte buffer of records.
 /// This is the unit of exchange throughout the library — patches hand one
-/// to the writer, aggregators assemble one, readers return one.
+/// to the writer, readers return one.
 
 #include <cstddef>
 #include <cstring>
@@ -79,9 +79,6 @@ class ParticleBuffer {
   void set_f64(std::size_t i, std::size_t field, std::size_t comp, double v);
   float get_f32(std::size_t i, std::size_t field, std::size_t comp = 0) const;
   void set_f32(std::size_t i, std::size_t field, std::size_t comp, float v);
-
-  /// Swap records `a` and `b` in place (used by the LOD shuffle).
-  void swap_records(std::size_t a, std::size_t b);
 
   /// Drop all records past the first `count` (no-op if already smaller).
   void truncate(std::size_t count);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "workload/generators.hpp"
 
@@ -193,6 +196,27 @@ TEST(LodShuffle, DeterministicAcrossManySeedsAndHeuristics) {
           << "heuristic=" << static_cast<int>(h) << " seed=" << seed;
       EXPECT_EQ(ids_of(a), ids_of(numbered_particles(151)));
     }
+  }
+}
+
+TEST(LodShuffle, OrderOverSegmentsIsTheReorderOfTheirConcatenation) {
+  // The writer orders the received payloads in place; the file must be
+  // what reordering their concatenation gives, for any segment split.
+  for (const auto h : {LodHeuristic::kRandom, LodHeuristic::kStride,
+                       LodHeuristic::kStratified}) {
+    ParticleBuffer whole = numbered_particles(151);
+    const std::span<const std::byte> all = whole.bytes();
+    const std::size_t rs = whole.record_size();
+    const std::span<const std::byte> segments[] = {
+        all.first(40 * rs), all.subspan(40 * rs, 0),
+        all.subspan(40 * rs, 100 * rs), all.subspan(140 * rs)};
+    std::vector<std::byte> gathered;
+    for (const std::byte* rec : lod_order(segments, rs, 5, h))
+      gathered.insert(gathered.end(), rec, rec + rs);
+    lod_reorder(whole, 5, h);
+    EXPECT_TRUE(std::equal(gathered.begin(), gathered.end(),
+                           whole.bytes().begin(), whole.bytes().end()))
+        << "heuristic=" << static_cast<int>(h);
   }
 }
 

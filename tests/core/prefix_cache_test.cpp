@@ -124,7 +124,7 @@ TEST(PrefixCacheProperty, BudgetAndAccountingInvariantsAcrossShardCounts) {
       std::uint64_t inserts = 0;
       for (int op = 0; op < 600; ++op) {
         const std::size_t k = rng.uniform_index(sigs.size());
-        const std::string key = "k" + std::to_string(k);
+        const std::string key = std::string("k").append(std::to_string(k));
         if (rng.uniform_index(3) == 0) {
           const std::size_t size = static_cast<std::size_t>(sigs[k].size);
           cache.insert(key, make_block(key, sigs[k], size), sigs[k]);
@@ -210,7 +210,7 @@ TEST(PrefixCacheProperty, MirrorBytesAreChargedEvictedAndInvalidatedWithPrefix) 
       std::uint64_t inserted_charge = 0;
       for (int op = 0; op < 500; ++op) {
         const std::size_t k = rng.uniform_index(sigs.size());
-        const std::string key = "k" + std::to_string(k);
+        const std::string key = std::string("k").append(std::to_string(k));
         switch (rng.uniform_index(4)) {
           case 0:  // in-place rewrite
             sigs[k].mtime_ns += 1;
@@ -275,7 +275,7 @@ TEST(PrefixCacheProperty, ChargeEqualsEvictExactlyWhenAllInsertsAdmitted) {
       std::uint64_t inserted_charge = 0;
       for (int op = 0; op < 600; ++op) {
         const std::size_t k = rng.uniform_index(sigs.size());
-        const std::string key = "k" + std::to_string(k);
+        const std::string key = std::string("k").append(std::to_string(k));
         switch (rng.uniform_index(6)) {
           case 0:  // in-place rewrite; the next lookup drops it stale
             sigs[k].mtime_ns += 1;
@@ -338,7 +338,7 @@ TEST(PrefixCacheProperty, InPlaceRewriteNeverServedStaleToConcurrentReaders) {
     for (int i = 0; i < 400000 && hits.load() < 64; ++i) {
       const std::size_t k = rng.uniform_index(kKeys);
       const std::int64_t v = version[k].load() + 1;
-      const std::string key = "k" + std::to_string(k);
+      const std::string key = std::string("k").append(std::to_string(k));
       const FileSig sig{kBlock, v};
       cache.insert(key, make_block(key, sig, kBlock), sig);
       version[k].store(v);
@@ -353,7 +353,7 @@ TEST(PrefixCacheProperty, InPlaceRewriteNeverServedStaleToConcurrentReaders) {
       while (!stop.load()) {
         const std::size_t k = rng.uniform_index(kKeys);
         const std::int64_t v = version[k].load();
-        const std::string key = "k" + std::to_string(k);
+        const std::string key = std::string("k").append(std::to_string(k));
         const FileSig sig{kBlock, v};
         if (const auto got = cache.lookup(key, sig)) {
           // The payload must encode the exact signature we asked for.

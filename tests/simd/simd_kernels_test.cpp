@@ -65,7 +65,7 @@ Schema random_schema(Xoshiro256& rng) {
   std::vector<FieldDesc> fields{{"position", FieldType::kF64, 3}};
   const std::size_t extra = 1 + rng.uniform_index(3);
   for (std::size_t i = 0; i < extra; ++i)
-    fields.push_back({"f" + std::to_string(i),
+    fields.push_back({std::string("f").append(std::to_string(i)),
                       rng.uniform_index(2) == 0 ? FieldType::kF64
                                                 : FieldType::kF32,
                       static_cast<std::uint32_t>(1 + rng.uniform_index(3))});

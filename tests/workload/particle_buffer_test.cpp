@@ -88,22 +88,6 @@ TEST(ParticleBuffer, AdoptRejectsPartialRecords) {
   EXPECT_THROW(b.adopt_bytes(std::vector<std::byte>(10)), FormatError);
 }
 
-TEST(ParticleBuffer, SwapRecords) {
-  ParticleBuffer buf(Schema::uintah());
-  const auto id = Schema::uintah().index_of("id");
-  for (int i = 0; i < 2; ++i) {
-    buf.append_uninitialized();
-    buf.set_position(static_cast<std::size_t>(i), Vec3d(i, 0, 0));
-    buf.set_f64(static_cast<std::size_t>(i), id, 0, 100.0 + i);
-  }
-  buf.swap_records(0, 1);
-  EXPECT_EQ(buf.position(0), Vec3d(1, 0, 0));
-  EXPECT_EQ(buf.get_f64(0, id), 101.0);
-  EXPECT_EQ(buf.position(1), Vec3d(0, 0, 0));
-  buf.swap_records(1, 1);  // self-swap is a no-op
-  EXPECT_EQ(buf.get_f64(1, id), 100.0);
-}
-
 TEST(ParticleBuffer, BoundsOfEmptyIsEmpty) {
   EXPECT_TRUE(ParticleBuffer(Schema::uintah()).bounds().is_empty());
 }

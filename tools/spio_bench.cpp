@@ -63,6 +63,7 @@
 
 #include "core/distributed_read.hpp"
 #include "core/query_plan/kd_tree.hpp"
+#include "core/query_plan/zone_map.hpp"
 #include "core/query_service.hpp"
 #include "core/read_engine.hpp"
 #include "core/reader.hpp"
@@ -492,7 +493,8 @@ int run_hotpath(const std::string& json_path, const std::string& compare_path,
     const auto buf = workload::uniform(schema, Box3::unit(), kParticles,
                                        stream_seed(3, 0), 0);
     const double s = best_seconds(reps, [&] {
-      const auto ranges = writer_detail::compute_field_ranges(buf);
+      std::vector<FieldRange> ranges;
+      add_field_ranges(ranges, buf.bytes(), buf.schema());
       if (ranges.empty()) std::abort();
     });
     j.open_obj("field_ranges");
