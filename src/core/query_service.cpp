@@ -153,8 +153,8 @@ void QueryService::drain_one() {
 
     // Server-side latency telemetry is always-on (a clock read and a
     // few relaxed adds per query, same budget class as the flight
-    // recorder): `spio_bench --serve` and the stats exporter read these
-    // without tracing enabled. Latency is admission → completion, the
+    // recorder): the stats exporter (`SPIO_STATS`) reads these without
+    // tracing enabled. Latency is admission → completion, the
     // figure a client would see from inside the server.
     const auto now = Clock::now();
     const auto us = [](Clock::duration d) {

@@ -372,26 +372,6 @@ ParticleBuffer Dataset::query_box(const Box3& box, int levels, int n_readers,
                       stats);
 }
 
-std::vector<int> Dataset::files_matching(
-    const Box3& box, std::span<const RangeFilter> filters) const {
-  std::vector<int> hits = intersecting(box);
-  if (filters.empty() || !meta_.has_field_ranges) return hits;
-  std::vector<int> out;
-  for (const int fi : hits) {
-    const FileRecord& f = meta_.files[static_cast<std::size_t>(fi)];
-    bool possible = true;
-    for (const RangeFilter& rf : filters) {
-      const std::size_t idx = meta_.range_index(rf.field, rf.component);
-      if (!f.field_ranges[idx].intersects(rf.lo, rf.hi)) {
-        possible = false;
-        break;
-      }
-    }
-    if (possible) out.push_back(fi);
-  }
-  return out;
-}
-
 ParticleBuffer Dataset::query(const Box3& box,
                               std::span<const RangeFilter> filters,
                               int levels, int n_readers,

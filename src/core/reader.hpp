@@ -160,10 +160,6 @@ class Dataset {
                        int levels = -1, int n_readers = 1,
                        ReadStats* stats = nullptr) const;
 
-  /// Files surviving both the bounding-box and field-range pruning.
-  std::vector<int> files_matching(const Box3& box,
-                                  std::span<const RangeFilter> filters) const;
-
   /// Streaming box query for memory-bounded consumers (the paper's
   /// workstation-visualization motivation: "the data does not fit in the
   /// available memory"): matching particles are delivered file by file

@@ -188,9 +188,7 @@ BinnedParticles bin_particles(const ParticleBuffer& local,
                               bool use_fast_path);
 
 /// Pre-optimization reference binning (ordered map + per-particle
-/// append). Kept as the differential-testing oracle for `bin_particles`
-/// and as the perf baseline the committed BENCH_hotpath.json speedups are
-/// measured against.
+/// append). Kept as the differential-testing oracle for `bin_particles`.
 BinnedParticles bin_particles_reference(const ParticleBuffer& local,
                                         const AggregationPlan& plan,
                                         bool use_fast_path);

@@ -3,7 +3,8 @@
 /// \file json.hpp
 /// Minimal JSON value tree: parse, inspect, mutate, serialize. Enough for
 /// the observability artifacts (Chrome traces, `trace.spio.json` run
-/// records, BENCH_*.json) without an external dependency.
+/// records, stats streams, access profiles) and `spio_bench --json`
+/// without an external dependency.
 ///
 /// Numbers keep their raw source token alongside the double conversion,
 /// so 64-bit counters survive a parse → serialize round trip without

@@ -36,7 +36,7 @@ Level detected_level();
 /// min(detected, SPIO_SIMD, test cap) — what the kernels dispatch on.
 Level active_level();
 
-/// "scalar" / "sse2" / "avx2" — recorded in BENCH_readpath.json.
+/// "scalar" / "sse2" / "avx2" — recorded in perfbench's run header.
 const char* level_name(Level level);
 
 /// RAII cap for tests: while alive, `active_level()` never exceeds

@@ -63,20 +63,20 @@ class PlannerSuite : public ::testing::Test {
     dir_ = nullptr;
   }
 
-  /// The same dataset through the linear-scan oracle planner
-  /// (`SPIO_PLAN=linear`, read at Dataset construction).
-  static Dataset open_linear() {
+  /// A dataset (the fixture's by default) through the linear-scan
+  /// oracle planner (`SPIO_PLAN=linear`, read at Dataset construction).
+  static Dataset open_linear(const std::filesystem::path& dir = dir_->path()) {
     const bool keep = forced_linear();
     ::setenv("SPIO_PLAN", "linear", 1);
-    Dataset ds = Dataset::open(dir_->path());
+    Dataset ds = Dataset::open(dir);
     if (!keep) ::unsetenv("SPIO_PLAN");
     return ds;
   }
 
-  /// True when the suite itself runs under SPIO_PLAN=linear
-  /// (bench/run_hotpath.sh re-runs it that way to pin the oracle path):
-  /// every Dataset then plans linearly and pruning-specific
-  /// expectations are vacuous.
+  /// True when the suite itself runs under SPIO_PLAN=linear (the ctest
+  /// entry `planner_suite_linear_oracle` re-runs it that way to pin the
+  /// oracle path): every Dataset then plans linearly and
+  /// pruning-specific expectations are vacuous.
   static bool forced_linear() {
     const char* v = ::getenv("SPIO_PLAN");
     return v != nullptr && std::strcmp(v, "linear") == 0;
@@ -379,6 +379,75 @@ TEST_F(PlannerSuite, SkippedFilesAreNeverOpened) {
   for (const std::string& name : opened)
     EXPECT_TRUE(planned.count(name)) << name << " was opened but not planned";
   EXPECT_EQ(out.size(), 300u);
+}
+
+/// Zone-map pruning on a clustered dataset, pinned exactly: 64 files
+/// (4x4x4 patches, one partition each) whose density is banded by rank —
+/// rank r holds [1000·(r mod 8), 1000·(r mod 8) + 100] — written without
+/// per-file field ranges, so the zone maps are the only pruning
+/// information the planner has. The filter selects band 1: 8 of the 64
+/// files hold every match. Every count below follows from the fixed
+/// seeds, so a planner that prunes less (or more) fails here, and the
+/// bytes are pinned to the linear-scan oracle.
+TEST_F(PlannerSuite, ClusteredRangeQueryPrunesExactlyByZones) {
+  if (forced_linear())
+    GTEST_SKIP() << "SPIO_PLAN=linear disables zone pruning";
+  constexpr int kFiles = 64;
+  constexpr std::uint64_t kPerFile = 1000;
+  const Schema schema = Schema::uintah();
+  const auto density = schema.index_of("density");
+  const PatchDecomposition decomp =
+      PatchDecomposition::for_ranks(Box3::unit(), kFiles);
+  TempDir dir("spio-planner-clustered");
+  WriterConfig cfg;
+  cfg.dir = dir.path();
+  cfg.factor = {1, 1, 1};
+  cfg.write_field_ranges = false;
+  simmpi::run(kFiles, [&](simmpi::Comm& comm) {
+    const auto rank = static_cast<std::uint64_t>(comm.rank());
+    ParticleBuffer local =
+        workload::uniform(schema, decomp.patch(comm.rank()), kPerFile,
+                          stream_seed(23, rank), rank * kPerFile);
+    Xoshiro256 rng(stream_seed(29, rank));
+    for (std::size_t i = 0; i < local.size(); ++i)
+      local.set_f64(i, density, 0,
+                    1000.0 * static_cast<double>(rank % 8) +
+                        100.0 * rng.uniform());
+    write_dataset(comm, decomp, local, cfg);
+  });
+  const Dataset ds = Dataset::open(dir.path());
+  const Dataset linear = open_linear(dir.path());
+  ASSERT_EQ(ds.file_count(), kFiles);
+
+  const Box3 box({0.05, 0.05, 0.05}, {0.95, 0.95, 0.95});
+  const Dataset::RangeFilter rf{density, 0, 1000.0, 1100.0};
+  const auto same_bytes = [](const ParticleBuffer& a, const ParticleBuffer& b) {
+    return a.byte_size() == b.byte_size() &&
+           std::equal(a.bytes().begin(), a.bytes().end(), b.bytes().begin());
+  };
+
+  // Range filter on a cold dataset: only the band-1 files are read.
+  ReadStats rs;
+  const ParticleBuffer got = ds.query(box, std::span(&rf, 1), -1, 1, &rs);
+  EXPECT_EQ(rs.files_skipped, 56);
+  EXPECT_EQ(rs.files_opened, 8);
+  EXPECT_EQ(rs.lod_bytes_skipped, 0u);
+  EXPECT_EQ(rs.particles_scanned, 8000u);
+  EXPECT_EQ(rs.particles_returned, 6505u);
+  EXPECT_DOUBLE_EQ(rs.read_amplification(), 8000.0 / 6505.0);
+  EXPECT_TRUE(same_bytes(got, linear.query(box, std::span(&rf, 1))));
+
+  // The box alone: no filter, so nothing can be skipped, and every file
+  // the box overlaps is scanned.
+  ReadStats bs;
+  const ParticleBuffer all = ds.query_box(box, -1, 1, &bs);
+  EXPECT_EQ(bs.files_skipped, 0);
+  EXPECT_EQ(bs.files_opened + static_cast<int>(bs.cache_hits), kFiles);
+  EXPECT_EQ(bs.lod_bytes_skipped, 0u);
+  EXPECT_EQ(bs.particles_scanned, 64000u);
+  EXPECT_EQ(bs.particles_returned, 46748u);
+  EXPECT_DOUBLE_EQ(bs.read_amplification(), 64000.0 / 46748.0);
+  EXPECT_TRUE(same_bytes(all, linear.query_box(box)));
 }
 
 TEST_F(PlannerSuite, BoxOutsideTheDomainPlansAndOpensNothing) {

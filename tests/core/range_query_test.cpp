@@ -79,10 +79,10 @@ TEST_F(RangeQuery, RangePruningSkipsFiles) {
   const auto density = ds.metadata().schema.index_of("density");
   // Density in [3100, 3400]: only rank 3's file can match.
   const Dataset::RangeFilter rf{density, 0, 3100.0, 3400.0};
-  const auto hits =
-      ds.files_matching(ds.metadata().domain, std::span(&rf, 1));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(ds.metadata().files[static_cast<std::size_t>(hits[0])]
+  const QueryPlan plan =
+      ds.plan_query(ds.metadata().domain, std::span(&rf, 1));
+  ASSERT_EQ(plan.files.size(), 1u);
+  EXPECT_EQ(ds.metadata().files[static_cast<std::size_t>(plan.files[0].file)]
                 .partition_id,
             3u);
 

@@ -255,7 +255,7 @@ class ReadEngineQueries : public ::testing::Test {
       std::span<const Dataset::RangeFilter> filters) {
     EngineConfig serial(1, 0);
     ParticleBuffer out(ds.metadata().schema);
-    for (const int fi : ds.files_matching(box, filters)) {
+    for (const int fi : ds.metadata().files_intersecting(box)) {
       const ParticleBuffer buf = ds.read_data_file(fi);
       read_detail::filter_box_ranges_reference(
           buf.bytes(), ds.metadata().schema, box, filters, out);

@@ -1,10 +1,10 @@
 /// \file hotpath_perf_test.cpp
 /// Perf smoke tests (ctest label `perf`): floor thresholds for the write
 /// pipeline's optimized kernels. The bars are deliberately generous —
-/// several times below what bench/run_hotpath.sh measures on an idle
-/// laptop-class machine — so they only trip on a real regression (an
-/// accidental re-pessimization of a hot loop), not on machine noise or a
-/// loaded CI box. BENCH_hotpath.json carries the precise numbers.
+/// several times below what an idle laptop-class machine measures — so
+/// they only trip on a real regression (an accidental re-pessimization
+/// of a hot loop), not on machine noise. End-to-end write throughput is
+/// measured by perfbench's `checkpoint` workload (perfbench/README.md).
 
 #include <gtest/gtest.h>
 

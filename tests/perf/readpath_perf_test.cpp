@@ -1,8 +1,8 @@
 /// \file readpath_perf_test.cpp
-/// Perf smoke tests for the read engine (ctest label `perf`). Like
-/// hotpath_perf_test.cpp the bars are several times below what
-/// bench/run_hotpath.sh measures, so they trip only on a genuine
-/// re-pessimization. One floor is exact rather than generous: a
+/// Perf smoke tests for the read engine and the query planner (ctest
+/// label `perf`). Like hotpath_perf_test.cpp the kernel bars sit several
+/// times below what an idle machine measures, so they trip only on a
+/// genuine re-pessimization. One floor is exact rather than generous: a
 /// warm-cache query must not open a single file — that is a semantic
 /// property of the buffer cache, not a timing.
 
@@ -10,7 +10,9 @@
 
 #include <chrono>
 #include <functional>
+#include <utility>
 
+#include "core/query_plan/kd_tree.hpp"
 #include "core/read_engine.hpp"
 #include "core/reader.hpp"
 #include "core/writer.hpp"
@@ -36,6 +38,20 @@ double best_seconds(int reps, const std::function<void()>& fn) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) best = std::min(best, seconds_of(fn));
   return best;
+}
+
+/// Best times of `reps` alternating runs of `a` and `b`. A ratio floor
+/// compares the two, so a burst of host load should land on both sides
+/// instead of on whichever kernel happened to run during it.
+std::pair<double, double> best_interleaved(int reps,
+                                           const std::function<void()>& a,
+                                           const std::function<void()>& b) {
+  double best_a = 1e300, best_b = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    best_a = std::min(best_a, seconds_of(a));
+    best_b = std::min(best_b, seconds_of(b));
+  }
+  return {best_a, best_b};
 }
 
 TEST(ReadpathPerf, WarmCacheQueryOpensZeroFiles) {
@@ -96,10 +112,11 @@ TEST(ReadpathPerf, FusedFilterBoxSustainsTwoMillionParticlesPerSecond) {
 /// held to ≥2× over the fused scalar kernel on a scan-bound query (low
 /// selectivity, where the predicate — not the run copy — dominates;
 /// measured ~6×). Owner binning moves every record regardless of the
-/// box, so its ceiling is the memcpy: measured ~2.2–2.5× over fused,
-/// floored at 1.5× so only a genuine re-pessimization trips it. The
-/// ≥4× bars against the *reference* kernels live in the bench gate
-/// (`spio_bench --readpath --compare`). Skipped — loudly — when
+/// box, so its ceiling is the memcpy: measured ~2.2–2.5× over fused on
+/// the 2026-08 reference container and 1.55–1.95× on a 4-vCPU AVX2 Xeon
+/// guest, floored at 1.5× so only a genuine re-pessimization trips it. The
+/// `*_reference` kernels are byte-identity oracles, not speed baselines,
+/// so no bar is held against them. Skipped — loudly — when
 /// dispatch is scalar (non-x86 build or `SPIO_SIMD=off`): there is no
 /// SIMD path to hold to a floor.
 TEST(ReadpathPerf, SimdKernelsBeatFusedScalarFloors) {
@@ -120,17 +137,20 @@ TEST(ReadpathPerf, SimdKernelsBeatFusedScalarFloors) {
   const Box3 cube({0, 0, 0}, {0.3, 0.3, 0.3});
 
   ParticleBuffer out(schema);
-  const double scalar_s = best_seconds(5, [&] {
-    out.clear();
-    ASSERT_GT(read_detail::filter_box(buf.bytes(), schema, cube, out), 0u);
-  });
-  const double simd_s = best_seconds(5, [&] {
-    out.clear();
-    std::uint64_t kept = 0;
-    ASSERT_TRUE(simd::filter_box(*mirror, buf.bytes(), schema.record_size(),
-                                 cube, out, &kept));
-    ASSERT_GT(kept, 0u);
-  });
+  const auto [scalar_s, simd_s] = best_interleaved(
+      9,
+      [&] {
+        out.clear();
+        ASSERT_GT(read_detail::filter_box(buf.bytes(), schema, cube, out),
+                  0u);
+      },
+      [&] {
+        out.clear();
+        std::uint64_t kept = 0;
+        ASSERT_TRUE(simd::filter_box(*mirror, buf.bytes(),
+                                     schema.record_size(), cube, out, &kept));
+        ASSERT_GT(kept, 0u);
+      });
   EXPECT_GE(scalar_s, 2.0 * simd_s)
       << "simd filter_box (" << simd::level_name(simd::active_level())
       << ") only " << scalar_s / simd_s << "x over fused scalar";
@@ -141,18 +161,61 @@ TEST(ReadpathPerf, SimdKernelsBeatFusedScalarFloors) {
   const auto clear_bins = [&] {
     for (auto& b : bins) b.clear();
   };
-  const double bin_scalar_s = best_seconds(5, [&] {
-    clear_bins();
-    read_detail::bin_by_owner(buf.bytes(), schema, decomp, bins);
-  });
-  const double bin_simd_s = best_seconds(5, [&] {
-    clear_bins();
-    ASSERT_TRUE(simd::bin_by_owner(*mirror, buf.bytes(), schema.record_size(),
-                                   decomp, bins));
-  });
+  const auto [bin_scalar_s, bin_simd_s] = best_interleaved(
+      9,
+      [&] {
+        clear_bins();
+        read_detail::bin_by_owner(buf.bytes(), schema, decomp, bins);
+      },
+      [&] {
+        clear_bins();
+        ASSERT_TRUE(simd::bin_by_owner(*mirror, buf.bytes(),
+                                       schema.record_size(), decomp, bins));
+      });
   EXPECT_GE(bin_scalar_s, 1.5 * bin_simd_s)
       << "simd bin_by_owner (" << simd::level_name(simd::active_level())
       << ") only " << bin_scalar_s / bin_simd_s << "x over fused scalar";
+}
+
+/// The k-d descent must plan at least 10× faster than the linear bbox
+/// scan it replaced (the pre-tree planner) at 10k partitions, where
+/// real simulation checkpoints live: 64 ~5%-per-axis query boxes
+/// against a 10k-patch grid, the same batch through both planners.
+/// Measured ~20× on a 4-vCPU AVX2 Xeon guest; a planner that degrades to
+/// a linear scan sits at ~1×. Each planner runs its reps back to back:
+/// alternating them would hand the tree caches the scan just flushed.
+TEST(ReadpathPerf, KdPlanningBeatsLinearScanTenfoldAtTenThousandPartitions) {
+  constexpr int kPartitions = 10000;
+  constexpr int kQueries = 64;
+  const PatchDecomposition grid =
+      PatchDecomposition::for_ranks(Box3::unit(), kPartitions);
+  std::vector<Box3> boxes;
+  boxes.reserve(kPartitions);
+  for (int i = 0; i < kPartitions; ++i) boxes.push_back(grid.patch(i));
+  const BoxKdTree tree = BoxKdTree::build(boxes);
+
+  Xoshiro256 rng(stream_seed(31, 0));
+  std::vector<Box3> queries;
+  for (int q = 0; q < kQueries; ++q) {
+    const Vec3d lo{rng.uniform(0.0, 0.95), rng.uniform(0.0, 0.95),
+                   rng.uniform(0.0, 0.95)};
+    queries.push_back(Box3(lo, {lo.x + 0.05, lo.y + 0.05, lo.z + 0.05}));
+  }
+  std::size_t kd_hits = 0, linear_hits = 0;
+  const double kd_s = best_seconds(20, [&] {
+    kd_hits = 0;
+    for (const Box3& q : queries) kd_hits += tree.query(q).size();
+  });
+  const double linear_s = best_seconds(20, [&] {
+    linear_hits = 0;
+    for (const Box3& q : queries)
+      for (const Box3& b : boxes) linear_hits += b.overlaps(q) ? 1 : 0;
+  });
+  ASSERT_GT(kd_hits, 0u);
+  ASSERT_EQ(kd_hits, linear_hits);
+  EXPECT_GE(linear_s, 10.0 * kd_s)
+      << "k-d planning only " << linear_s / kd_s
+      << "x over the linear bbox scan at " << kPartitions << " partitions";
 }
 
 }  // namespace

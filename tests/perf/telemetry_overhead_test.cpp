@@ -67,7 +67,7 @@ TEST(TelemetryOverhead, WindowedObserveIsNanosecondCheap) {
 TEST(TelemetryOverhead, ExporterKeepsQueryPathWithinFivePercent) {
   obs::disable();
   constexpr int kQueries = 2000;
-  constexpr int kReps = 5;
+  constexpr int kPairs = 8;
 
   const auto run_batch = [] {
     ServiceConfig cfg;
@@ -78,17 +78,23 @@ TEST(TelemetryOverhead, ExporterKeepsQueryPathWithinFivePercent) {
   };
 
   // Interleave off/on reps so drift (thermal, noisy neighbors) hits both
-  // arms equally; best-of keeps the cleanest run of each.
+  // arms equally, in ABBA order so neither arm always runs second;
+  // best-of keeps the cleanest run of each.
   TempDir dir("spio-telemetry-perf");
   auto& exp = obs::TelemetryExporter::instance();
   double best_off = 1e300, best_on = 1e300;
-  for (int r = 0; r < kReps; ++r) {
+  const auto rep_with = [&](bool on) {
     ASSERT_FALSE(exp.running());
-    best_off = std::min(best_off, seconds_of(run_batch));
-
-    ASSERT_TRUE(exp.start(10ms, dir.file("perf.jsonl").string()));
-    best_on = std::min(best_on, seconds_of(run_batch));
-    exp.stop();
+    if (on) {
+      ASSERT_TRUE(exp.start(10ms, dir.file("perf.jsonl").string()));
+    }
+    double& best = on ? best_on : best_off;
+    best = std::min(best, seconds_of(run_batch));
+    if (on) exp.stop();
+  };
+  for (int r = 0; r < kPairs; ++r) {
+    rep_with(r % 2 != 0);
+    rep_with(r % 2 == 0);
   }
 
   // ≤5% relative plus 20ms absolute slack: the batch takes tens of

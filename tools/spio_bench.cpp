@@ -1,92 +1,50 @@
 /// \file spio_bench.cpp
 /// Parameterized write/read benchmark for the spio pipeline on the local
-/// machine — this library's h5perf. Two modes:
-///
-/// Sweep (default): writes a synthetic Uintah-style workload with a sweep
-/// of partition factors, reporting per-phase times (the real Fig. 6
-/// breakdown at laptop scale), then measures metadata-guided read strong
-/// scaling on the best configuration.
-///
-/// Hotpath (`--hotpath`): machine-readable per-stage benchmark of the
-/// write pipeline's hot paths (binning, exchange, LOD reorder, CRC, file
-/// write) at 8 and 32 ranks, plus micro-benchmarks that pit the optimized
-/// kernels against their pre-optimization reference implementations.
-/// `bench/run_hotpath.sh` uses it to regenerate BENCH_hotpath.json, the
-/// committed perf baseline CI compares against.
-///
-/// Serve (`--serve`): closed-loop multi-client benchmark of the
-/// concurrent query service (core/query_service.hpp) over the same
-/// 216-file dataset as `--readpath`: a Zipfian hot-spot mix of box, LOD
-/// and range-filter queries at 1, 4 and 16 clients, reporting QPS and
-/// p50/p99 latency per client count plus the 16-client scaling factor.
-/// On a single core the scaling comes from query coalescing — hot-spot
-/// clients share one execution and one result buffer — which is exactly
-/// what the service exists to prove. `bench/run_hotpath.sh` regenerates
-/// BENCH_servepath.json from it.
+/// machine — this library's h5perf. It writes a synthetic Uintah-style
+/// workload with a sweep of partition factors, reporting per-phase times
+/// (the real Fig. 6 breakdown at laptop scale), then measures
+/// metadata-guided read strong scaling on the best configuration.
 ///
 /// Usage:
 ///   spio_bench [--ranks N] [--particles P] [--reps R] [--dir path]
 ///              [--factors f1,f2,...]   (factors like 2x2x1)
-///              [--json FILE] [--hotpath] [--readpath] [--serve]
-///              [--compare FILE] [--trace FILE]
+///              [--json FILE] [--trace FILE]
 ///
+/// `--json FILE` writes the sweep's numbers as one JSON document.
 /// `--trace FILE` turns on the observability layer for the whole run and
 /// writes the merged Chrome trace-event JSON (chrome://tracing, Perfetto)
 /// to FILE on exit; `spio_trace FILE` renders it as a phase table.
 ///
-/// `--compare FILE` (hotpath mode) gates the fresh results against a
-/// committed baseline: any micro-kernel speedup more than 15% below
-/// FILE's value, or any per-stage MB/s more than 35% below (absolute
-/// stage throughput rides host weather), fails the run with a non-zero
-/// exit — the perf-regression gate `bench/run_hotpath.sh` applies
-/// against BENCH_hotpath.json. The baseline is read before `--json` overwrites
-/// it, so both flags may name the same file.
+/// The measured, noise-characterized benchmark of this repository is
+/// perfbench (perfbench/README.md); this tool is a quick interactive
+/// sweep and the artifact source of the `obs_artifact_*` ctest entries.
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
+#include <string>
+#include <utility>
+#include <vector>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
-#include "core/distributed_read.hpp"
-#include "core/query_plan/kd_tree.hpp"
-#include "core/query_plan/zone_map.hpp"
-#include "core/query_service.hpp"
-#include "core/read_engine.hpp"
 #include "core/reader.hpp"
 #include "core/writer.hpp"
-#include "obs/access_profile.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/postmortem.hpp"
 #include "obs/trace.hpp"
-#include "simd/kernels.hpp"
-#include "simd/position_mirror.hpp"
-#include "simd/simd_level.hpp"
-#include "util/serialize.hpp"
 #include "simmpi/runtime.hpp"
-#include "util/checksum.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/temp_dir.hpp"
 #include "util/units.hpp"
 #include "workload/generators.hpp"
 
 using namespace spio;
+using obs::JsonValue;
 
 namespace {
 
@@ -102,1536 +60,14 @@ bool parse_factor(const std::string& s, PartitionFactor* out) {
   return out->valid();
 }
 
-/// Minimal JSON emitter: enough structure for BENCH_*.json files without
-/// pulling in a dependency. Numbers print with full double precision.
-class Json {
- public:
-  void open_obj(const std::string& key = "") { tag(key); out_ << "{"; fresh_ = true; }
-  void close_obj() { out_ << "}"; fresh_ = false; }
-  void open_arr(const std::string& key) { tag(key); out_ << "["; fresh_ = true; }
-  void close_arr() { out_ << "]"; fresh_ = false; }
-  void field(const std::string& key, double v) {
-    tag(key);
-    out_ << v;
-  }
-  void field(const std::string& key, std::uint64_t v) {
-    tag(key);
-    out_ << v;
-  }
-  void field(const std::string& key, int v) { tag(key); out_ << v; }
-  void field(const std::string& key, const std::string& v) {
-    tag(key);
-    out_ << '"' << v << '"';
-  }
-  std::string str() const { return out_.str(); }
-
- private:
-  void tag(const std::string& key) {
-    if (!fresh_) out_ << ",";
-    fresh_ = false;
-    if (!key.empty()) out_ << '"' << key << "\":";
-  }
-  std::ostringstream out_;
-  bool fresh_ = true;
-};
-
-void write_json(const std::string& path, const std::string& body) {
+void write_json(const std::string& path, const JsonValue& doc) {
   std::ofstream f(path);
   if (!f) {
     std::cerr << "cannot open '" << path << "' for writing\n";
     std::exit(1);
   }
-  f << body << "\n";
+  f << doc.dump() << "\n";
   std::cout << "wrote " << path << "\n";
-}
-
-/// Best wall time of `reps` runs of `fn`.
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    best = std::min(best, seconds_since(t0));
-  }
-  return best;
-}
-
-// ---- hotpath mode ----
-
-/// One write job at `ranks` with per-stage timings (max over ranks, the
-/// job-level Fig. 6 view) plus isolated bin / crc measurements on the
-/// same data shapes.
-void hotpath_job(Json& j, int ranks, std::uint64_t per_rank,
-                 const PartitionFactor& factor, int reps) {
-  const Schema schema = Schema::uintah();
-  const PatchDecomposition decomp =
-      PatchDecomposition::for_ranks(Box3::unit(), ranks);
-  const std::uint64_t total_bytes =
-      static_cast<std::uint64_t>(ranks) * per_rank * schema.record_size();
-
-  // Stage timings from the real pipeline (general exchange, so the
-  // binning/exchange stages measure the per-particle path the paper's
-  // Fig. 6 breakdown times).
-  WriteStats job{};
-  double best_wall = 1e300;
-  TempDir scratch("spio-hotpath");
-  for (int rep = 0; rep < reps; ++rep) {
-    WriteStats rep_job{};
-    std::mutex mu;
-    const auto t0 = std::chrono::steady_clock::now();
-    simmpi::run(ranks, [&](simmpi::Comm& comm) {
-      const auto local = workload::uniform(
-          schema, decomp.patch(comm.rank()), per_rank,
-          stream_seed(77 + rep, static_cast<std::uint64_t>(comm.rank())),
-          static_cast<std::uint64_t>(comm.rank()) * per_rank);
-      WriterConfig cfg;
-      cfg.dir = scratch.path() /
-                ("job_" + std::to_string(ranks) + "_" + std::to_string(rep));
-      cfg.factor = factor;
-      cfg.force_general_exchange = true;
-      const WriteStats s = write_dataset(comm, decomp, local, cfg);
-      std::lock_guard lk(mu);
-      rep_job = WriteStats::max_over(rep_job, s);
-    });
-    const double wall = seconds_since(t0);
-    if (wall < best_wall) {
-      best_wall = wall;
-      job = rep_job;
-    }
-  }
-
-  // Isolated general-path binning of one rank's buffer against the job's
-  // plan (binning lives inside meta_exchange_seconds in the job view).
-  const auto plan =
-      AggregationPlan::non_adaptive(decomp, factor, AggregatorPlacement::kUniform);
-  const auto local = workload::uniform(schema, decomp.patch(0), per_rank,
-                                       stream_seed(77, 0), 0);
-  const double bin_s = best_seconds(reps, [&] {
-    const auto bins = writer_detail::bin_particles(local, plan, false);
-    if (bins.bin_count() == 0) std::abort();
-  });
-
-  // CRC over an aggregator-sized buffer (the checksum cost of one file).
-  const std::uint64_t agg_bytes =
-      total_bytes / static_cast<std::uint64_t>(plan.partition_count());
-  std::vector<std::byte> crc_buf(agg_bytes);
-  Xoshiro256 rng(9);
-  for (auto& b : crc_buf) b = static_cast<std::byte>(rng.next());
-  volatile std::uint64_t sink = 0;
-  const double crc_s =
-      best_seconds(reps, [&] { sink = sink ^ crc64(crc_buf); });
-
-  const double mb = static_cast<double>(total_bytes) / 1e6;
-  j.open_obj();
-  j.field("ranks", ranks);
-  j.field("particles_per_rank", per_rank);
-  j.field("factor", factor.to_string());
-  j.field("partitions", plan.partition_count());
-  j.field("total_mb", mb);
-  j.field("wall_seconds", best_wall);
-  j.open_obj("stages_seconds");
-  j.field("bin", bin_s);
-  j.field("exchange",
-          job.meta_exchange_seconds + job.particle_exchange_seconds);
-  j.field("reorder", job.reorder_seconds);
-  j.field("crc", crc_s);
-  j.field("write", job.file_io_seconds);
-  j.close_obj();
-  j.open_obj("stages_mbps");
-  const double rank_mb =
-      static_cast<double>(per_rank * schema.record_size()) / 1e6;
-  j.field("bin", rank_mb / bin_s);
-  j.field("exchange",
-          mb / (job.meta_exchange_seconds + job.particle_exchange_seconds));
-  j.field("reorder", mb / job.reorder_seconds);
-  j.field("crc", static_cast<double>(agg_bytes) / 1e6 / crc_s);
-  j.field("write", mb / job.file_io_seconds);
-  j.close_obj();
-  j.close_obj();
-}
-
-// ---- perf-regression gate ----
-
-/// Array element whose `key` field equals `want`, or null. Hotpath arrays
-/// are keyed by a shape discriminator (bytes, schema_bytes, ranks) so a
-/// baseline regenerated with different entries still matches by shape.
-const obs::JsonValue* find_entry(const obs::JsonValue* arr, const char* key,
-                                 std::int64_t want) {
-  if (!arr || !arr->is_array()) return nullptr;
-  for (std::size_t i = 0; i < arr->size(); ++i) {
-    const obs::JsonValue& e = arr->at(i);
-    if (!e.is_object()) continue;
-    if (const obs::JsonValue* k = e.find(key))
-      if (k->as_i64() == want) return &e;
-  }
-  return nullptr;
-}
-
-/// String-keyed variant: readpath arrays are keyed by a name
-/// ("kernel", "stage").
-const obs::JsonValue* find_entry(const obs::JsonValue* arr, const char* key,
-                                 const std::string& want) {
-  if (!arr || !arr->is_array()) return nullptr;
-  for (std::size_t i = 0; i < arr->size(); ++i) {
-    const obs::JsonValue& e = arr->at(i);
-    if (!e.is_object()) continue;
-    if (const obs::JsonValue* k = e.find(key))
-      if (k->is_string() && k->as_string() == want) return &e;
-  }
-  return nullptr;
-}
-
-struct GateRow {
-  std::string metric;
-  double baseline;
-  double current;
-  /// Fractional regression allowed before the row fails. CPU-bound
-  /// metrics use the default; cold-I/O stage ratios get a wider band
-  /// because both their terms ride host I/O weather (see
-  /// docs/PERF.md "Read path").
-  double tolerance = 0.15;
-  /// Latency-style metrics regress *upward*: the row fails when the
-  /// ratio exceeds 1 + tolerance instead of dropping below 1 - tolerance.
-  bool lower_is_better = false;
-};
-
-/// The shared regression check of `--compare`: any row more than its
-/// tolerance past its baseline (below for throughput metrics, above for
-/// lower-is-better ones) fails the gate. Metrics present in only one
-/// document never fail it (the baseline may predate a stage).
-int gate_rows(const std::vector<GateRow>& rows, const std::string& title,
-              const char* what) {
-  if (rows.empty()) {
-    std::cerr << "compare: no common " << what
-              << " metrics between baseline and this run\n";
-    return 1;
-  }
-  int regressions = 0;
-  Table t(title, {"metric", "baseline", "current", "ratio", "status"});
-  for (const GateRow& r : rows) {
-    const double ratio = r.baseline > 0 ? r.current / r.baseline : 1.0;
-    const bool regressed = r.lower_is_better ? ratio > 1.0 + r.tolerance
-                                             : ratio < 1.0 - r.tolerance;
-    if (regressed) ++regressions;
-    t.row()
-        .add(r.metric)
-        .add_double(r.baseline, 2)
-        .add_double(r.current, 2)
-        .add_double(ratio, 3)
-        .add(regressed ? "REGRESSED" : "ok");
-  }
-  t.print(std::cout);
-  if (regressions > 0) {
-    std::cerr << "compare: " << regressions
-              << " metric(s) regressed past tolerance vs baseline\n";
-    return 1;
-  }
-  std::cout << "compare: all " << rows.size() << " metrics within tolerance\n";
-  return 0;
-}
-
-/// Gate fresh hotpath results against a committed baseline document.
-/// Compares micro-kernel speedups (crc64, binning) and per-stage MB/s of
-/// each pipeline job; a metric more than `kTolerance` below baseline is a
-/// regression. Metrics present in only one document are reported but
-/// never fail the gate (the baseline may predate a new stage).
-int compare_hotpath(const std::string& baseline_text,
-                    const std::string& current_text) {
-  const obs::JsonValue base = obs::JsonValue::parse(baseline_text);
-  const obs::JsonValue cur = obs::JsonValue::parse(current_text);
-
-  std::vector<GateRow> rows;
-  const auto add = [&](std::string metric, const obs::JsonValue* b,
-                       const obs::JsonValue* c, const char* key) {
-    if (!b || !c) return;
-    const obs::JsonValue* bv = b->find(key);
-    const obs::JsonValue* cv = c->find(key);
-    if (!bv || !cv) return;
-    rows.push_back({std::move(metric), bv->as_double(), cv->as_double()});
-  };
-
-  if (const obs::JsonValue* cc = cur.find("crc64"))
-    for (std::size_t i = 0; i < cc->size(); ++i) {
-      const std::int64_t bytes = cc->at(i).at("bytes").as_i64();
-      add("crc64[" + std::to_string(bytes >> 20) + "MiB].speedup",
-          find_entry(base.find("crc64"), "bytes", bytes), &cc->at(i),
-          "speedup");
-    }
-  if (const obs::JsonValue* cb = cur.find("binning_general"))
-    for (std::size_t i = 0; i < cb->size(); ++i) {
-      const std::int64_t sb = cb->at(i).at("schema_bytes").as_i64();
-      add("binning[" + std::to_string(sb) + "B].speedup",
-          find_entry(base.find("binning_general"), "schema_bytes", sb),
-          &cb->at(i), "speedup");
-    }
-  if (const obs::JsonValue* cj = cur.find("jobs"))
-    for (std::size_t i = 0; i < cj->size(); ++i) {
-      const std::int64_t ranks = cj->at(i).at("ranks").as_i64();
-      const obs::JsonValue* bj = find_entry(base.find("jobs"), "ranks", ranks);
-      const obs::JsonValue* bs = bj ? bj->find("stages_mbps") : nullptr;
-      const obs::JsonValue* cs = cj->at(i).find("stages_mbps");
-      for (const char* stage :
-           {"bin", "exchange", "reorder", "crc", "write"}) {
-        const std::size_t before = rows.size();
-        add("job" + std::to_string(ranks) + "." + stage + "_mbps", bs, cs,
-            stage);
-        // Absolute stage throughput of a threaded job on a shared host
-        // rides CPU/IO weather far harder than the in-process speedup
-        // ratios above; give it the wide band (docs/PERF.md).
-        if (rows.size() > before) rows.back().tolerance = 0.35;
-      }
-    }
-
-  return gate_rows(rows, "hotpath vs baseline (gate: regression past band fails)",
-                   "hotpath");
-}
-
-int run_hotpath(const std::string& json_path, const std::string& compare_path,
-                int reps) {
-  // Read the baseline up front: --json may overwrite the same file.
-  std::string baseline_text;
-  if (!compare_path.empty()) {
-    const std::vector<std::byte> bytes = read_file(compare_path);
-    baseline_text.assign(reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size());
-  }
-  const Schema schema = Schema::uintah();
-  Json j;
-  j.open_obj();
-  j.field("bench", "hotpath");
-  j.field("generated_by", "tools/spio_bench --hotpath --json BENCH_hotpath.json");
-  j.field("schema_bytes_per_particle",
-          static_cast<std::uint64_t>(schema.record_size()));
-
-  // -- micro: crc64 slicing-by-16 vs byte-at-a-time reference --
-  // Two working sets: 4 MiB (cache-hot, the shape the fused
-  // crc64_write_file path actually sees — it checksums 1 MiB chunks right
-  // after writing them) and 64 MiB (DRAM-resident stream). Reps are
-  // interleaved so both implementations see the same machine state.
-  j.open_arr("crc64");
-  for (const std::size_t mib : {std::size_t{4}, std::size_t{64}}) {
-    const std::size_t bytes = mib << 20;
-    std::vector<std::byte> buf(bytes);
-    Xoshiro256 rng(1);
-    for (auto& b : buf) b = static_cast<std::byte>(rng.next());
-    if (crc64(buf) != crc64_bytewise(buf)) {
-      std::cerr << "crc64 implementations disagree\n";
-      return 1;
-    }
-    volatile std::uint64_t sink = 0;
-    double ref_s = 1e300, opt_s = 1e300;
-    for (int r = 0; r < std::max(reps, 5); ++r) {
-      ref_s = std::min(
-          ref_s, best_seconds(1, [&] { sink = sink ^ crc64_bytewise(buf); }));
-      opt_s =
-          std::min(opt_s, best_seconds(1, [&] { sink = sink ^ crc64(buf); }));
-    }
-    const double gb = static_cast<double>(bytes) / 1e9;
-    j.open_obj();
-    j.field("bytes", static_cast<std::uint64_t>(bytes));
-    j.field("bytewise_gbs", gb / ref_s);
-    j.field("slice16_gbs", gb / opt_s);
-    j.field("speedup", ref_s / opt_s);
-    j.close_obj();
-    std::cout << "crc64 (" << mib << " MiB)  " << gb / ref_s << " -> "
-              << gb / opt_s << " GB/s  (x" << ref_s / opt_s << ")\n";
-  }
-  j.close_arr();
-
-  // -- micro: general-path binning, histogram+scatter vs map reference --
-  // Paper-scale partition count (512 ranks, one partition per rank) with
-  // particles spread over the whole domain so every partition receives a
-  // share — the worst case the general path exists for (drifted
-  // particles). Reference and optimized reps are interleaved so both see
-  // the same thermal/allocator state; both are warmed once untimed.
-  j.open_arr("binning_general");
-  {
-    constexpr int kRanks = 512;
-    constexpr std::uint64_t kParticles = 1000000;
-    const PatchDecomposition decomp =
-        PatchDecomposition::for_ranks(Box3::unit(), kRanks);
-    const auto plan = AggregationPlan::non_adaptive(
-        decomp, {1, 1, 1}, AggregatorPlacement::kUniform);
-    const Schema schemas[2] = {Schema::uintah(), Schema::position_only()};
-    for (const Schema& s : schemas) {
-      const auto local = workload::uniform(s, Box3::unit(), kParticles,
-                                           stream_seed(2, 0), 0);
-      (void)writer_detail::bin_particles(local, plan, false);
-      (void)writer_detail::bin_particles_reference(local, plan, false);
-      double ref_s = 1e300, opt_s = 1e300;
-      for (int r = 0; r < std::max(reps, 5); ++r) {
-        ref_s = std::min(ref_s, best_seconds(1, [&] {
-          const auto bins =
-              writer_detail::bin_particles_reference(local, plan, false);
-          if (bins.bin_count() == 0) std::abort();
-        }));
-        opt_s = std::min(opt_s, best_seconds(1, [&] {
-          const auto bins = writer_detail::bin_particles(local, plan, false);
-          if (bins.bin_count() == 0) std::abort();
-        }));
-      }
-      const double mp = static_cast<double>(kParticles) / 1e6;
-      j.open_obj();
-      j.field("schema_bytes", static_cast<std::uint64_t>(s.record_size()));
-      j.field("particles", kParticles);
-      j.field("partitions", plan.partition_count());
-      j.field("reference_mpps", mp / ref_s);
-      j.field("optimized_mpps", mp / opt_s);
-      j.field("speedup", ref_s / opt_s);
-      j.close_obj();
-      std::cout << "binning (" << s.record_size() << " B/rec) " << mp / ref_s
-                << " -> " << mp / opt_s << " Mparticles/s  (x"
-                << ref_s / opt_s << ")\n";
-    }
-  }
-  j.close_arr();
-
-  // -- micro: per-file field-range pass (record-major) --
-  {
-    constexpr std::uint64_t kParticles = 500000;
-    const auto buf = workload::uniform(schema, Box3::unit(), kParticles,
-                                       stream_seed(3, 0), 0);
-    const double s = best_seconds(reps, [&] {
-      std::vector<FieldRange> ranges;
-      add_field_ranges(ranges, buf.bytes(), buf.schema());
-      if (ranges.empty()) std::abort();
-    });
-    j.open_obj("field_ranges");
-    j.field("particles", kParticles);
-    j.field("gbs", static_cast<double>(buf.byte_size()) / 1e9 / s);
-    j.close_obj();
-    std::cout << "field ranges " << static_cast<double>(buf.byte_size()) / 1e9 / s
-              << " GB/s\n";
-  }
-
-  // -- pipeline stage breakdown at 8 and 32 ranks --
-  j.open_arr("jobs");
-  hotpath_job(j, 8, 50000, {2, 2, 1}, reps);
-  hotpath_job(j, 32, 20000, {2, 2, 2}, reps);
-  j.close_arr();
-  j.close_obj();
-
-  if (!json_path.empty()) write_json(json_path, j.str());
-  if (!compare_path.empty()) return compare_hotpath(baseline_text, j.str());
-  return 0;
-}
-
-// ---- readpath mode ----
-
-/// The pre-engine serial box query: per-file reads (`read_data_file` is a
-/// plain read when the caller disabled the cache) filtered with the
-/// retained reference kernels — the exact code every fused kernel is
-/// pinned to by the differential tests. Both the measurement baseline of
-/// the engine speedups and the byte-identity oracle for their results.
-ParticleBuffer serial_query_box_reference(const Dataset& ds, const Box3& box) {
-  ParticleBuffer out(ds.metadata().schema);
-  for (const int fi : ds.metadata().files_intersecting(box)) {
-    const ParticleBuffer buf = ds.read_data_file(fi);
-    const auto& f = ds.metadata().files[static_cast<std::size_t>(fi)];
-    if (box.contains_box(f.bounds))
-      out.append_bytes(buf.bytes());
-    else
-      read_detail::filter_box_reference(buf.bytes(), ds.metadata().schema, box,
-                                        out);
-  }
-  return out;
-}
-
-/// Serial reference for `Dataset::query` (same pruning, reference
-/// filtering).
-ParticleBuffer serial_query_reference(
-    const Dataset& ds, const Box3& box,
-    std::span<const Dataset::RangeFilter> filters) {
-  ParticleBuffer out(ds.metadata().schema);
-  for (const int fi : ds.files_matching(box, filters)) {
-    const ParticleBuffer buf = ds.read_data_file(fi);
-    read_detail::filter_box_ranges_reference(buf.bytes(), ds.metadata().schema,
-                                             box, filters, out);
-  }
-  return out;
-}
-
-/// `simd_s <= 0` means no SIMD measurement (scalar dispatch host): the
-/// simd fields are omitted so `--compare` skips that gate row instead
-/// of comparing garbage.
-void readpath_kernel_entry(Json& j, const char* name, std::uint64_t particles,
-                           double ref_s, double opt_s, double simd_s = 0) {
-  const double mp = static_cast<double>(particles) / 1e6;
-  j.open_obj();
-  j.field("kernel", std::string(name));
-  j.field("particles", particles);
-  j.field("reference_mpps", mp / ref_s);
-  j.field("optimized_mpps", mp / opt_s);
-  j.field("speedup", ref_s / opt_s);
-  if (simd_s > 0) {
-    j.field("simd_mpps", mp / simd_s);
-    j.field("simd_speedup", ref_s / simd_s);
-  }
-  j.close_obj();
-  std::cout << name << "  " << mp / ref_s << " -> " << mp / opt_s
-            << " Mparticles/s  (x" << ref_s / opt_s << ")";
-  if (simd_s > 0)
-    std::cout << "  simd " << mp / simd_s << " (x" << ref_s / simd_s << ")";
-  std::cout << "\n";
-}
-
-/// Gate fresh readpath results against a committed baseline: kernel
-/// speedups (fused vs reference) and end-to-end stage speedups (engine
-/// vs the serial reference path).
-int compare_readpath(const std::string& baseline_text,
-                     const std::string& current_text) {
-  const obs::JsonValue base = obs::JsonValue::parse(baseline_text);
-  const obs::JsonValue cur = obs::JsonValue::parse(current_text);
-
-  std::vector<GateRow> rows;
-  const auto add = [&](std::string metric, const obs::JsonValue* b,
-                       const obs::JsonValue* c, const char* key) {
-    if (!b || !c) return;
-    const obs::JsonValue* bv = b->find(key);
-    const obs::JsonValue* cv = c->find(key);
-    if (!bv || !cv) return;
-    rows.push_back({std::move(metric), bv->as_double(), cv->as_double()});
-  };
-
-  if (const obs::JsonValue* ck = cur.find("kernels"))
-    for (std::size_t i = 0; i < ck->size(); ++i) {
-      const std::string& name = ck->at(i).at("kernel").as_string();
-      const obs::JsonValue* b =
-          find_entry(base.find("kernels"), "kernel", name);
-      add("kernel." + name + ".speedup", b, &ck->at(i), "speedup");
-      // Present only when both runs dispatched SIMD (`add` skips a
-      // missing key on either side): scalar hosts aren't held to a
-      // vector baseline, and a baseline from a scalar host gates
-      // nothing it didn't measure.
-      add("kernel." + name + ".simd_speedup", b, &ck->at(i), "simd_speedup");
-    }
-  if (const obs::JsonValue* cs = cur.find("stages"))
-    for (std::size_t i = 0; i < cs->size(); ++i) {
-      const obs::JsonValue& c = cs->at(i);
-      const std::string& name = c.at("stage").as_string();
-      const obs::JsonValue* b =
-          find_entry(base.find("stages"), "stage", name);
-      if (name.rfind("cold", 0) == 0) {
-        // A cold stage's ratio divides two device-read times, and host
-        // I/O weather moves them by different amounts hour to hour
-        // (measured 1.7x-2.3x on an idle box, docs/PERF.md). Gate it at
-        // 35% so the gate trips on a real re-pessimization — losing the
-        // pool puts it at 1.0x, far below the band — not on a slow disk
-        // hour.
-        const std::size_t before = rows.size();
-        add("stage." + name + ".speedup", b, &c, "speedup");
-        if (rows.size() > before) rows.back().tolerance = 0.35;
-      } else if (c.find("engine_ms") && c.find("particles") && b &&
-                 b->find("engine_ms") && b->find("particles")) {
-        // Warm stages are CPU-bound on the engine side but their
-        // *speedup* numerator is still a cold serial read riding I/O
-        // weather, so gate the engine's own throughput instead. Still
-        // an absolute-throughput row, so it gets the wide band: a
-        // shared host moves even CPU-bound wall time by ~30%.
-        rows.push_back({"stage." + name + ".engine_mpps",
-                        b->at("particles").as_double() * 1e-3 /
-                            b->at("engine_ms").as_double(),
-                        c.at("particles").as_double() * 1e-3 /
-                            c.at("engine_ms").as_double(),
-                        0.35});
-      }
-      // distributed_read has neither field pair: reported only.
-
-      // Read amplification regresses *upward*: more particles scanned
-      // per particle returned means the planner started touching files
-      // the query doesn't need. It is a deterministic byte ratio for a
-      // fixed dataset + query — no I/O weather — so the band is tight.
-      // Engages only when both documents carry the field (baselines
-      // predating the access profiler gate nothing they didn't record).
-      const obs::JsonValue* ba = b ? b->find("read_amplification") : nullptr;
-      const obs::JsonValue* ca = c.find("read_amplification");
-      if (ba && ca && ba->as_double() > 0 && ca->as_double() > 0)
-        rows.push_back({"stage." + name + ".read_amplification",
-                        ba->as_double(), ca->as_double(), 0.10,
-                        /*lower_is_better=*/true});
-    }
-  // Planner rows: the k-d descent's speedup over the linear bbox scan
-  // per synthetic partition count. A ratio of two in-memory timings,
-  // so it rides CPU weather on both sides — same wide band as the cold
-  // stages. (The absolute ≥10x floor at 10k+ partitions is enforced
-  // inside the run itself, baseline or not.)
-  if (const obs::JsonValue* cp = cur.find("planning"))
-    for (std::size_t i = 0; i < cp->size(); ++i) {
-      const std::int64_t n = cp->at(i).at("partitions").as_i64();
-      const obs::JsonValue* b =
-          find_entry(base.find("planning"), "partitions", n);
-      const std::size_t before = rows.size();
-      add("planning[" + std::to_string(n) + "].kd_speedup", b, &cp->at(i),
-          "kd_speedup");
-      if (rows.size() > before) rows.back().tolerance = 0.35;
-    }
-
-  return gate_rows(rows,
-                   "readpath vs baseline (gate: kernel ratios 15%; cold "
-                   "speedups, engine throughput and planning 35%; "
-                   "amplification 10% lower-is-better)",
-                   "readpath");
-}
-
-/// Evict `path`'s pages from the OS page cache so the next read comes
-/// from the device — the definition of a *cold* read. Pages must be
-/// clean (the dataset is sync()ed once after writing); dirty pages
-/// survive the advice and would leave the "cold" stages measuring
-/// memcpy speed instead of I/O.
-void drop_page_cache(const std::filesystem::path& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return;
-  (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-  ::close(fd);
-}
-
-int run_readpath(const std::string& json_path, const std::string& compare_path,
-                 int reps) {
-  std::string baseline_text;
-  if (!compare_path.empty()) {
-    const std::vector<std::byte> bytes = read_file(compare_path);
-    baseline_text.assign(reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size());
-  }
-#if defined(__GLIBC__)
-  // The stages below churn ~12 MB read buffers every repetition. Keep
-  // such blocks on the heap arena instead of per-allocation mmap/munmap
-  // so no loop — serial baseline or engine — pays fresh-page faults a
-  // long-lived process would not see. Applied identically to both sides.
-  mallopt(M_MMAP_THRESHOLD, 256 << 20);
-  mallopt(M_TRIM_THRESHOLD, 256 << 20);
-#endif
-  const Schema schema = Schema::uintah();
-  ReadEngine& eng = ReadEngine::instance();
-
-  Json j;
-  j.open_obj();
-  j.field("bench", "readpath");
-  j.field("generated_by",
-          "tools/spio_bench --readpath --json BENCH_readpath.json");
-  j.field("schema_bytes_per_particle",
-          static_cast<std::uint64_t>(schema.record_size()));
-  // The ISA the SIMD rows below were measured at — and a visible flag
-  // when a run silently fell back to scalar (SPIO_SIMD, older CPU).
-  j.field("simd_level", std::string(simd::level_name(simd::active_level())));
-
-  // -- micro: filter kernels vs their reference loops --
-  // The input models what the kernels actually receive: cached file
-  // prefixes, streamed in file order by a warm multi-file query. Each
-  // data file holds one aggregation partition's particles — the LOD
-  // shuffle randomizes order *within* a file, but every record still
-  // lies in that file's partition box — so the buffer is a file-order
-  // concatenation of 216 per-partition payloads (the 6x6x6 layout the
-  // end-to-end stages below read). Box and owner predicates therefore
-  // flip at file granularity, not per record, exactly as on the read
-  // path. The box keeps about half of it. Reps interleave reference and
-  // fused so both see the same machine state.
-  j.open_arr("kernels");
-  {
-    constexpr std::uint64_t kParticles = 1000000;
-    constexpr int kCells = 216;
-    const Box3 half({0.0, 0.0, 0.0}, {0.5, 1.0, 1.0});
-    const PatchDecomposition cells =
-        PatchDecomposition::for_ranks(Box3::unit(), kCells);
-    ParticleBuffer local(schema);
-    local.reserve(kParticles);
-    {
-      std::uint64_t id = 0;
-      for (int c = 0; c < kCells; ++c) {
-        const std::uint64_t n = c == kCells - 1
-                                    ? kParticles - id
-                                    : kParticles / kCells;
-        const auto seg =
-            workload::uniform(schema, cells.patch(c), n,
-                              stream_seed(11, static_cast<std::uint64_t>(c)),
-                              id);
-        local.append_bytes(seg.bytes());
-        id += n;
-      }
-    }
-    const std::vector<Dataset::RangeFilter> filters{
-        {schema.index_of("density"), 0, 1000.0, 1100.0}};
-
-    // Built once, outside every timed region — the read path amortizes
-    // the mirror build over all warm queries of a cached prefix, so the
-    // kernel rows measure the steady state, not the first fetch.
-    const bool simd_on = simd::active_level() != simd::Level::kScalar;
-    const auto mirror = PositionMirror::build(
-        local.bytes(), schema.record_size(), schema.offset(0));
-
-    const auto time_pair = [&](auto&& ref, auto&& opt, double* ref_s,
-                               double* opt_s) {
-      *ref_s = 1e300;
-      *opt_s = 1e300;
-      for (int r = 0; r < std::max(reps, 5); ++r) {
-        *ref_s = std::min(*ref_s, best_seconds(1, ref));
-        *opt_s = std::min(*opt_s, best_seconds(1, opt));
-      }
-    };
-    const auto time_simd = [&](auto&& fn) {
-      double s = 1e300;
-      for (int r = 0; r < std::max(reps, 5); ++r)
-        s = std::min(s, best_seconds(1, fn));
-      return s;
-    };
-
-    // filter_box: verify byte identity once, then time.
-    {
-      ParticleBuffer a(schema), b(schema);
-      read_detail::filter_box_reference(local.bytes(), schema, half, a);
-      read_detail::filter_box(local.bytes(), schema, half, b);
-      if (a.bytes().size() != b.bytes().size() ||
-          std::memcmp(a.bytes().data(), b.bytes().data(), a.byte_size()) != 0) {
-        std::cerr << "filter_box disagrees with its reference\n";
-        return 1;
-      }
-      double simd_s = 0;
-      if (simd_on) {
-        ParticleBuffer c(schema);
-        std::uint64_t kept = 0;
-        if (!simd::filter_box(*mirror, local.bytes(), schema.record_size(),
-                              half, c, &kept) ||
-            a.bytes().size() != c.bytes().size() ||
-            std::memcmp(a.bytes().data(), c.bytes().data(), a.byte_size()) !=
-                0) {
-          std::cerr << "simd filter_box disagrees with its reference\n";
-          return 1;
-        }
-        simd_s = time_simd([&] {
-          ParticleBuffer out(schema);
-          std::uint64_t n = 0;
-          if (!simd::filter_box(*mirror, local.bytes(), schema.record_size(),
-                                half, out, &n) ||
-              n == 0)
-            std::abort();
-        });
-      }
-      double ref_s, opt_s;
-      time_pair(
-          [&] {
-            ParticleBuffer out(schema);
-            if (read_detail::filter_box_reference(local.bytes(), schema, half,
-                                                  out) == 0)
-              std::abort();
-          },
-          [&] {
-            ParticleBuffer out(schema);
-            if (read_detail::filter_box(local.bytes(), schema, half, out) == 0)
-              std::abort();
-          },
-          &ref_s, &opt_s);
-      readpath_kernel_entry(j, "filter_box", kParticles, ref_s, opt_s, simd_s);
-    }
-
-    // filter_box_ranges: spatial + one attribute predicate.
-    {
-      ParticleBuffer a(schema), b(schema);
-      read_detail::filter_box_ranges_reference(local.bytes(), schema, half,
-                                               filters, a);
-      read_detail::filter_box_ranges(local.bytes(), schema, half, filters, b);
-      if (a.bytes().size() != b.bytes().size() ||
-          std::memcmp(a.bytes().data(), b.bytes().data(), a.byte_size()) != 0) {
-        std::cerr << "filter_box_ranges disagrees with its reference\n";
-        return 1;
-      }
-      double simd_s = 0;
-      if (simd_on) {
-        std::vector<simd::RangePred> preds;
-        for (const auto& f : filters) {
-          const FieldDesc& fd = schema.fields()[f.field];
-          preds.push_back(
-              {schema.offset(f.field) + f.component * field_type_size(fd.type),
-               fd.type == FieldType::kF64, f.lo, f.hi});
-        }
-        ParticleBuffer c(schema);
-        std::uint64_t kept = 0;
-        if (!simd::filter_box_ranges(*mirror, local.bytes(),
-                                     schema.record_size(), half, preds, c,
-                                     &kept) ||
-            a.bytes().size() != c.bytes().size() ||
-            std::memcmp(a.bytes().data(), c.bytes().data(), a.byte_size()) !=
-                0) {
-          std::cerr << "simd filter_box_ranges disagrees with its reference\n";
-          return 1;
-        }
-        simd_s = time_simd([&] {
-          ParticleBuffer out(schema);
-          std::uint64_t n = 0;
-          if (!simd::filter_box_ranges(*mirror, local.bytes(),
-                                       schema.record_size(), half, preds, out,
-                                       &n))
-            std::abort();
-        });
-      }
-      double ref_s, opt_s;
-      time_pair(
-          [&] {
-            ParticleBuffer out(schema);
-            if (read_detail::filter_box_ranges_reference(
-                    local.bytes(), schema, half, filters, out) == 0)
-              std::abort();
-          },
-          [&] {
-            ParticleBuffer out(schema);
-            if (read_detail::filter_box_ranges(local.bytes(), schema, half,
-                                               filters, out) == 0)
-              std::abort();
-          },
-          &ref_s, &opt_s);
-      readpath_kernel_entry(j, "filter_box_ranges", kParticles, ref_s, opt_s,
-                            simd_s);
-    }
-
-    // bin_by_owner: the distributed_read scatter at 8 reader tiles.
-    {
-      const PatchDecomposition decomp =
-          PatchDecomposition::for_ranks(Box3::unit(), 8);
-      const auto bins_of = [&](auto&& kernel) {
-        std::vector<ParticleBuffer> bins(8, ParticleBuffer(schema));
-        kernel(local.bytes(), schema, decomp, bins);
-        return bins;
-      };
-      const auto a = bins_of(read_detail::bin_by_owner_reference);
-      const auto b = bins_of(read_detail::bin_by_owner);
-      for (int r = 0; r < 8; ++r) {
-        const auto sa = a[static_cast<std::size_t>(r)].bytes();
-        const auto sb = b[static_cast<std::size_t>(r)].bytes();
-        if (sa.size() != sb.size() ||
-            std::memcmp(sa.data(), sb.data(), sa.size()) != 0) {
-          std::cerr << "bin_by_owner disagrees with its reference\n";
-          return 1;
-        }
-      }
-      double simd_s = 0;
-      if (simd_on) {
-        const auto simd_bins = [&] {
-          std::vector<ParticleBuffer> bins(8, ParticleBuffer(schema));
-          if (!simd::bin_by_owner(*mirror, local.bytes(), schema.record_size(),
-                                  decomp, bins))
-            std::abort();
-          return bins;
-        };
-        const auto c = simd_bins();
-        for (int r = 0; r < 8; ++r) {
-          const auto sa = a[static_cast<std::size_t>(r)].bytes();
-          const auto sc = c[static_cast<std::size_t>(r)].bytes();
-          if (sa.size() != sc.size() ||
-              std::memcmp(sa.data(), sc.data(), sa.size()) != 0) {
-            std::cerr << "simd bin_by_owner disagrees with its reference\n";
-            return 1;
-          }
-        }
-        simd_s = time_simd([&] {
-          if (simd_bins().empty()) std::abort();
-        });
-      }
-      double ref_s, opt_s;
-      time_pair(
-          [&] {
-            if (bins_of(read_detail::bin_by_owner_reference).empty())
-              std::abort();
-          },
-          [&] {
-            if (bins_of(read_detail::bin_by_owner).empty()) std::abort();
-          },
-          &ref_s, &opt_s);
-      readpath_kernel_entry(j, "bin_by_owner", kParticles, ref_s, opt_s,
-                            simd_s);
-    }
-  }
-  j.close_arr();
-
-  // -- end-to-end stages on a written dataset --
-  // 216 ranks (6x6x6 patches), one partition per patch -> 216 files of
-  // ~450 KB, the many-partition-files layout the paper's aggregation
-  // targets. The off-grid centered box overlaps every file, fully
-  // contains the 64 interior ones (whole-file fast path) and partially
-  // overlaps the 152 boundary ones (the fused filter path). Serial cold
-  // reads pay the per-file readahead ramp on every one of the 216 files
-  // — at ~450 KB the window never even reaches full size — while the
-  // engine's pooled reads keep the device queue full instead: the
-  // multi-file fan-out the read engine exists for, and the regime where
-  // the serial-vs-pooled gap is widest and steadiest (the ratio grows
-  // with file count at fixed total bytes; 64 big files measure ~1.6x on
-  // raw I/O, 216 small ones ~1.9x).
-  constexpr int kRanks = 216;
-  constexpr std::uint64_t kPerRank = 3700;
-  TempDir scratch("spio-readpath");
-  const std::filesystem::path dsdir = scratch.path() / "ds";
-  {
-    const PatchDecomposition decomp =
-        PatchDecomposition::for_ranks(Box3::unit(), kRanks);
-    simmpi::run(kRanks, [&](simmpi::Comm& comm) {
-      const auto local = workload::uniform(
-          schema, decomp.patch(comm.rank()), kPerRank,
-          stream_seed(21, static_cast<std::uint64_t>(comm.rank())),
-          static_cast<std::uint64_t>(comm.rank()) * kPerRank);
-      WriterConfig cfg;
-      cfg.dir = dsdir;
-      cfg.factor = {1, 1, 1};
-      write_dataset(comm, decomp, local, cfg);
-    });
-  }
-  // Clustered companion dataset for the range_filter stage: same 216-file
-  // layout, but density is spatially banded — file of rank r carries
-  // [1000·(r mod 8), 1000·(r mod 8) + 100] — and the per-file field
-  // ranges are deliberately left out of the metadata, so the zone-map
-  // sidecar is the *only* pruning information the planner has. The
-  // filter below selects band 1: 27 of 216 files hold every match, and
-  // the stage measures exactly what zone pruning buys. (On the uniform
-  // dataset every file's density range spans the filter and nothing can
-  // be skipped — amplification was pinned at ~2.9 by construction.)
-  const std::filesystem::path cldir = scratch.path() / "clustered";
-  {
-    const PatchDecomposition decomp =
-        PatchDecomposition::for_ranks(Box3::unit(), kRanks);
-    simmpi::run(kRanks, [&](simmpi::Comm& comm) {
-      ParticleBuffer local = workload::uniform(
-          schema, decomp.patch(comm.rank()), kPerRank,
-          stream_seed(23, static_cast<std::uint64_t>(comm.rank())),
-          static_cast<std::uint64_t>(comm.rank()) * kPerRank);
-      const std::size_t density = schema.index_of("density");
-      Xoshiro256 rng(
-          stream_seed(29, static_cast<std::uint64_t>(comm.rank())));
-      for (std::size_t i = 0; i < local.size(); ++i)
-        local.set_f64(i, density, 0,
-                      1000.0 * (comm.rank() % 8) + 100.0 * rng.uniform());
-      WriterConfig cfg;
-      cfg.dir = cldir;
-      cfg.factor = {1, 1, 1};
-      cfg.write_field_ranges = false;
-      write_dataset(comm, decomp, local, cfg);
-    });
-  }
-  ::sync();  // make every data-file page clean so fadvise can evict it
-  const Dataset ds = Dataset::open(dsdir);
-  const Dataset cds = Dataset::open(cldir);
-  const Box3 qbox({0.05, 0.05, 0.05}, {0.95, 0.95, 0.95});
-  const std::vector<Dataset::RangeFilter> qfilters{
-      {schema.index_of("density"), 0, 1000.0, 1100.0}};
-  const auto drop_dataset_pages = [&] {
-    for (const auto& f : ds.metadata().files)
-      drop_page_cache(dsdir / f.file_name());
-  };
-  const auto drop_clustered_pages = [&] {
-    for (const auto& f : cds.metadata().files)
-      drop_page_cache(cldir / f.file_name());
-  };
-
-  const auto bytes_equal = [](const ParticleBuffer& a,
-                              const ParticleBuffer& b) {
-    return a.byte_size() == b.byte_size() &&
-           std::memcmp(a.bytes().data(), b.bytes().data(), a.byte_size()) == 0;
-  };
-  const auto stage_entry = [&](const char* name, double serial_s,
-                               double engine_s, std::uint64_t particles,
-                               const ReadStats& rs) {
-    j.open_obj();
-    j.field("stage", std::string(name));
-    j.field("serial_ms", serial_s * 1e3);
-    j.field("engine_ms", engine_s * 1e3);
-    j.field("speedup", serial_s / engine_s);
-    j.field("particles", particles);
-    j.field("files_opened", static_cast<std::uint64_t>(rs.files_opened));
-    j.field("cache_hits", rs.cache_hits);
-    // Particles scanned per particle returned — deterministic for a
-    // fixed dataset + query, so `--compare` holds it to a tight
-    // lower-is-better band (see compare_readpath).
-    j.field("read_amplification", rs.read_amplification());
-    // Planner skip counters: candidate files dropped without a read
-    // (field-range or zone pruning) and LOD-tail bytes the zone maps
-    // shaved off surviving files.
-    j.field("files_skipped", static_cast<std::uint64_t>(rs.files_skipped));
-    j.field("lod_bytes_skipped", rs.lod_bytes_skipped);
-    j.close_obj();
-    std::cout << name << "  " << serial_s * 1e3 << " -> " << engine_s * 1e3
-              << " ms  (x" << serial_s / engine_s << ", amplification "
-              << rs.read_amplification() << ", " << rs.files_skipped
-              << " files skipped)\n";
-  };
-
-  j.field("engine_threads", static_cast<std::uint64_t>(16));
-  j.open_arr("stages");
-  // Two engine states, toggled per repetition:
-  //  * serial baseline — no cache, no pool, reference kernels: the
-  //    pre-engine read path exactly. Every serial repetition starts with
-  //    the dataset evicted from the page cache (outside the clock): the
-  //    baseline a cold engine query is judged against must itself read
-  //    from the device, not replay yesterday's pages.
-  //  * engine — a 16-thread pool (cold per-file reads overlap 16 deep in
-  //    the device queue) and a cache big enough to hold the whole
-  //    dataset. Both fixed here — not from
-  //    SPIO_READ_THREADS/SPIO_READ_CACHE — so the committed baseline is
-  //    reproducible.
-  constexpr int kEngineThreads = 16;
-  const auto serial_state = [&] {
-    eng.set_concurrency(1);
-    eng.set_cache_budget(0);
-  };
-  const auto engine_state = [&] {
-    eng.set_concurrency(kEngineThreads);
-    eng.set_cache_budget(512ull << 20);
-  };
-
-  ParticleBuffer ref_box(schema);
-  double serial_box_s = 1e300;
-
-  // cold box query: page cache and buffer cache both emptied before
-  // every rep (outside the clock — eviction is maintenance, not query
-  // time). What remains is the real cold path: concurrent device reads
-  // feeding the fused filters. Serial and engine reps are interleaved —
-  // one of each per iteration, like the hotpath kernels — so a shift in
-  // host I/O weather during the run moves both sides of the ratio
-  // instead of skewing whichever block it lands on.
-  {
-    ParticleBuffer out(schema);
-    ReadStats rs;
-    double s = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      serial_state();
-      drop_dataset_pages();
-      auto t0 = std::chrono::steady_clock::now();
-      ref_box = serial_query_box_reference(ds, qbox);
-      serial_box_s = std::min(serial_box_s, seconds_since(t0));
-
-      engine_state();
-      eng.clear_cache();
-      drop_dataset_pages();
-      rs = ReadStats{};
-      t0 = std::chrono::steady_clock::now();
-      out = ds.query_box(qbox, -1, 1, &rs);
-      s = std::min(s, seconds_since(t0));
-    }
-    if (!bytes_equal(out, ref_box)) {
-      std::cerr << "cold query_box differs from the serial reference\n";
-      return 1;
-    }
-    stage_entry("cold_box", serial_box_s, s, out.size(), rs);
-  }
-
-  // Serial range-filter baseline on the clustered dataset. Without
-  // field ranges in the metadata the reference path cannot prune a
-  // single file: it reads all 216 and filters exactly — precisely the
-  // pre-zone-map behaviour the stage's speedup is measured against.
-  serial_state();
-  ParticleBuffer ref_rq(schema);
-  double serial_rq_s = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    drop_clustered_pages();
-    const auto t0 = std::chrono::steady_clock::now();
-    ref_rq = serial_query_reference(cds, qbox, qfilters);
-    serial_rq_s = std::min(serial_rq_s, seconds_since(t0));
-  }
-  engine_state();
-
-  // warm cached query: every prefix served from the buffer cache.
-  {
-    (void)ds.query_box(qbox);  // prime
-    ParticleBuffer out(schema);
-    ReadStats rs;
-    const double s = best_seconds(reps, [&] {
-      rs = ReadStats{};
-      out = ds.query_box(qbox, -1, 1, &rs);
-    });
-    if (!bytes_equal(out, ref_box)) {
-      std::cerr << "warm query_box differs from the serial reference\n";
-      return 1;
-    }
-    if (rs.files_opened != 0 || rs.cache_hits == 0) {
-      std::cerr << "warm query_box still opened files\n";
-      return 1;
-    }
-    stage_entry("warm_box", serial_box_s, s, out.size(), rs);
-  }
-
-  // range-filter query (spatial + attribute) on the clustered dataset,
-  // warm cache: the planner's zone maps drop the 189 off-band files
-  // before any read.
-  {
-    (void)cds.query(qbox, qfilters);  // prime the surviving prefixes
-    ParticleBuffer out(schema);
-    ReadStats rs;
-    const double s = best_seconds(reps, [&] {
-      rs = ReadStats{};
-      out = cds.query(qbox, qfilters, -1, 1, &rs);
-    });
-    if (!bytes_equal(out, ref_rq)) {
-      std::cerr << "query differs from the serial reference\n";
-      return 1;
-    }
-    stage_entry("range_filter", serial_rq_s, s, out.size(), rs);
-  }
-
-  // 8-rank distributed_read of the 64-file dataset (tile exchange end
-  // to end, warm cache).
-  {
-    constexpr int kReadRanks = 8;
-    const PatchDecomposition decomp =
-        PatchDecomposition::for_ranks(Box3::unit(), kReadRanks);
-    std::atomic<std::uint64_t> particles{0};
-    const double s = best_seconds(reps, [&] {
-      particles = 0;
-      simmpi::run(kReadRanks, [&](simmpi::Comm& comm) {
-        const ParticleBuffer mine = distributed_read(comm, decomp, dsdir);
-        particles += mine.size();
-      });
-    });
-    j.open_obj();
-    j.field("stage", std::string("distributed_read8"));
-    j.field("wall_ms", s * 1e3);
-    j.field("particles", particles.load());
-    j.close_obj();
-    std::cout << "distributed_read8  " << s * 1e3 << " ms ("
-              << particles.load() << " particles)\n";
-  }
-  j.close_arr();
-
-  // -- planning: k-d descent vs linear bbox scan, synthetic partitions --
-  // Pure planning cost (no I/O): intersect a batch of small query boxes
-  // against N partition bounds, once through the k-d tree and once by
-  // scanning every box — the pre-tree planner. At 216 partitions (the
-  // dataset above) the two are close; the tree's O(log N + k) descent
-  // pays off as N grows, and 10k+ partitions is where real simulation
-  // checkpoints live. The 10k and 1M rows carry a hard ≥10x floor in
-  // addition to the `--compare` band: losing the tree (a planner
-  // regression to linear) puts them at 1.0x, far below either.
-  j.open_arr("planning");
-  {
-    Xoshiro256 prng(stream_seed(31, 0));
-    constexpr int kQueries = 64;
-    for (const int n : {216, 10000, 1000000}) {
-      const PatchDecomposition grid =
-          PatchDecomposition::for_ranks(Box3::unit(), n);
-      std::vector<Box3> boxes;
-      boxes.reserve(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) boxes.push_back(grid.patch(i));
-      const auto b0 = std::chrono::steady_clock::now();
-      const BoxKdTree tree = BoxKdTree::build(boxes);
-      const double build_s = seconds_since(b0);
-      // A batch of ~5%-per-axis query boxes scattered over the domain —
-      // the "read a small region" plan the paper's visualization reads
-      // issue. The same batch runs through both planners.
-      std::vector<Box3> queries;
-      for (int q = 0; q < kQueries; ++q) {
-        Vec3d lo{prng.uniform(0.0, 0.95), prng.uniform(0.0, 0.95),
-                 prng.uniform(0.0, 0.95)};
-        queries.push_back(Box3(lo, {lo.x + 0.05, lo.y + 0.05, lo.z + 0.05}));
-      }
-      std::uint64_t candidates = 0;
-      for (const Box3& q : queries) candidates += tree.query(q).size();
-      const double kd_s = best_seconds(std::max(reps, 5), [&] {
-        std::size_t sink = 0;
-        for (const Box3& q : queries) sink += tree.query(q).size();
-        if (sink == 0) std::abort();
-      });
-      const double lin_s = best_seconds(std::max(reps, 5), [&] {
-        std::size_t sink = 0;
-        for (const Box3& q : queries)
-          for (const Box3& b : boxes)
-            if (b.overlaps(q)) ++sink;
-        if (sink == 0) std::abort();
-      });
-      const double kd_us = kd_s / kQueries * 1e6;
-      const double lin_us = lin_s / kQueries * 1e6;
-      const double frac_skipped =
-          1.0 - static_cast<double>(candidates) /
-                    (static_cast<double>(kQueries) * static_cast<double>(n));
-      j.open_obj();
-      j.field("partitions", n);
-      j.field("queries", static_cast<std::uint64_t>(kQueries));
-      j.field("build_ms", build_s * 1e3);
-      j.field("kd_plan_us", kd_us);
-      j.field("linear_plan_us", lin_us);
-      j.field("kd_speedup", lin_us / kd_us);
-      j.field("files_skipped_fraction", frac_skipped);
-      j.close_obj();
-      std::cout << "planning[" << n << "]  " << lin_us << " -> " << kd_us
-                << " us/plan  (x" << lin_us / kd_us << ", "
-                << frac_skipped * 100 << "% of files skipped)\n";
-      if (n >= 10000 && lin_us / kd_us < 10.0) {
-        std::cerr << "planning: k-d descent under the 10x floor at " << n
-                  << " partitions\n";
-        return 1;
-      }
-    }
-  }
-  j.close_arr();
-
-  const ReadCacheStats cs = eng.cache_stats();
-  j.open_obj("cache");
-  j.field("hits", cs.hits);
-  j.field("misses", cs.misses);
-  j.field("evictions", cs.evictions);
-  j.field("bytes_evicted", cs.bytes_evicted);
-  j.field("bytes_held", cs.bytes_held);
-  j.close_obj();
-  j.close_obj();
-
-  if (!json_path.empty()) write_json(json_path, j.str());
-  if (!compare_path.empty()) return compare_readpath(baseline_text, j.str());
-  return 0;
-}
-
-// ---- servepath mode ----
-
-/// One entry in the hot query set: a ready-to-run query function, its
-/// coalescing key, and the expected (direct-query) result bytes.
-struct HotQuery {
-  std::string key;
-  QueryService::QueryFn fn;
-  const ParticleBuffer* want = nullptr;
-};
-
-/// Completion record: when (relative to window start) and how long.
-struct ServeSample {
-  double done_s;
-  double latency_ms;
-};
-
-struct ServeWindow {
-  double qps = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  std::uint64_t queries = 0;
-  /// Server-side latency percentiles over the measure interval, read
-  /// from the service's windowed `service.latency_us` histogram — what
-  /// an operator sees in `stats.spio.jsonl`, vs. the client-side
-  /// numbers above measured around `svc.run`.
-  double server_p50_ms = 0;
-  double server_p99_ms = 0;
-  std::uint64_t server_queries = 0;
-  /// Spatial amplification over the whole window (warmup included),
-  /// from the access profiler's totals: disk bytes per surviving byte
-  /// (~0 once the cache is warm — the serve steady state) and scanned
-  /// bytes per surviving byte (cache-independent, the planner's
-  /// overfetch under this Zipf mix).
-  double read_amplification = 0;
-  double scan_amplification = 0;
-  ServiceStats stats;
-};
-
-/// Zipf(s) CDF over ranks 1..n: rank r gets weight 1/r^s. The hot-spot
-/// shape of real query traffic — a few regions of the domain (the
-/// interesting physics) absorb most of the queries.
-std::vector<double> zipf_cdf(std::size_t n, double s) {
-  std::vector<double> cdf(n);
-  double sum = 0;
-  for (std::size_t r = 0; r < n; ++r) sum += 1.0 / std::pow(r + 1.0, s);
-  double acc = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    acc += (1.0 / std::pow(r + 1.0, s)) / sum;
-    cdf[r] = acc;
-  }
-  cdf[n - 1] = 1.0;  // guard against rounding
-  return cdf;
-}
-
-std::size_t zipf_pick(const std::vector<double>& cdf, double u) {
-  return static_cast<std::size_t>(
-      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-}
-
-/// One closed-loop window: `n_clients` threads each keep exactly one
-/// query outstanding against a fresh service (4 workers, deep queue).
-/// Samples completing inside the measure interval (after warmup) yield
-/// QPS and latency percentiles. Each client byte-checks its first
-/// completion of every hot query against the direct-query result.
-ServeWindow run_serve_window(const std::vector<HotQuery>& hot,
-                             const std::vector<double>& cdf, int n_clients,
-                             std::atomic<int>* mismatches) {
-  constexpr double kWarmupS = 0.3;
-  constexpr double kMeasureS = 1.2;
-  const obs::AccessProfiler::Totals prof0 =
-      obs::AccessProfiler::instance().totals();
-  QueryService svc(ServiceConfig{4, 1024, {}});
-  std::atomic<bool> stop{false};
-  std::vector<std::vector<ServeSample>> samples(
-      static_cast<std::size_t>(n_clients));
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  for (int c = 0; c < n_clients; ++c)
-    clients.emplace_back([&, c] {
-      Xoshiro256 rng(stream_seed(9000 + static_cast<std::uint64_t>(n_clients),
-                                 static_cast<std::uint64_t>(c)));
-      std::vector<bool> checked(hot.size(), false);
-      auto& mine = samples[static_cast<std::size_t>(c)];
-      mine.reserve(4096);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::size_t i = zipf_pick(cdf, rng.uniform());
-        const HotQuery& q = hot[i];
-        QueryService::Options opt;
-        opt.coalesce_key = q.key;
-        const auto q0 = std::chrono::steady_clock::now();
-        const QueryService::Result got = svc.run(q.fn, opt);
-        const auto q1 = std::chrono::steady_clock::now();
-        mine.push_back(
-            {std::chrono::duration<double>(q1 - t0).count(),
-             std::chrono::duration<double, std::milli>(q1 - q0).count()});
-        if (!checked[i]) {
-          checked[i] = true;
-          if (got->byte_size() != q.want->byte_size() ||
-              std::memcmp(got->bytes().data(), q.want->bytes().data(),
-                          got->byte_size()) != 0)
-            mismatches->fetch_add(1);
-        }
-      }
-    });
-  // Scope the server-side histograms to the measure interval: drop the
-  // warmup's samples, then read the merged window after the clients
-  // stop. The windows are process-wide, so one serve window runs at a
-  // time (true here: windows run sequentially within one bench).
-  auto& latency_hist =
-      obs::MetricsRegistry::global().windowed("service.latency_us");
-  std::this_thread::sleep_for(std::chrono::duration<double>(kWarmupS));
-  latency_hist.reset();
-  std::this_thread::sleep_for(std::chrono::duration<double>(kMeasureS));
-  stop.store(true);
-  for (auto& t : clients) t.join();
-  ServeWindow w;
-  w.stats = svc.stats();
-  svc.shutdown();
-  const obs::AccessProfiler::Totals prof1 =
-      obs::AccessProfiler::instance().totals();
-  const std::uint64_t used = prof1.bytes_used - prof0.bytes_used;
-  if (used > 0) {
-    w.read_amplification =
-        static_cast<double>(prof1.bytes_fetched - prof0.bytes_fetched) /
-        static_cast<double>(used);
-    w.scan_amplification =
-        static_cast<double>(prof1.bytes_scanned - prof0.bytes_scanned) /
-        static_cast<double>(used);
-  }
-  const auto server = latency_hist.merged();
-  w.server_queries = server.count;
-  w.server_p50_ms = static_cast<double>(server.p50) / 1e3;
-  w.server_p99_ms = static_cast<double>(server.p99) / 1e3;
-
-  std::vector<double> lat;
-  for (const auto& v : samples)
-    for (const ServeSample& s : v)
-      if (s.done_s >= kWarmupS && s.done_s < kWarmupS + kMeasureS)
-        lat.push_back(s.latency_ms);
-  std::sort(lat.begin(), lat.end());
-  w.queries = lat.size();
-  w.qps = static_cast<double>(lat.size()) / kMeasureS;
-  if (!lat.empty()) {
-    w.p50_ms = lat[lat.size() / 2];
-    w.p99_ms = lat[std::min(lat.size() - 1, (lat.size() * 99) / 100)];
-  }
-  return w;
-}
-
-/// Gate fresh servepath results against a committed baseline: QPS per
-/// client count and the 16-client scaling factor. Wide tolerance —
-/// closed-loop QPS rides scheduler and I/O weather much harder than the
-/// CPU-bound kernel metrics.
-int compare_servepath(const std::string& baseline_text,
-                      const std::string& current_text) {
-  const obs::JsonValue base = obs::JsonValue::parse(baseline_text);
-  const obs::JsonValue cur = obs::JsonValue::parse(current_text);
-  constexpr double kServeTolerance = 0.35;
-
-  // Server-side p99 is lower-is-better and rides the same closed-loop
-  // weather as QPS, both directions; the wide band still catches a real
-  // tail-latency regression (a doubling).
-  constexpr double kServeLatencyTolerance = 1.0;
-
-  std::vector<GateRow> rows;
-  if (const obs::JsonValue* cc = cur.find("clients"))
-    for (std::size_t i = 0; i < cc->size(); ++i) {
-      const std::int64_t n = cc->at(i).at("clients").as_i64();
-      const obs::JsonValue* b = find_entry(base.find("clients"), "clients", n);
-      const obs::JsonValue* bq = b ? b->find("qps") : nullptr;
-      const obs::JsonValue* cq = cc->at(i).find("qps");
-      if (bq && cq)
-        rows.push_back({"serve[" + std::to_string(n) + "c].qps",
-                        bq->as_double(), cq->as_double(), kServeTolerance});
-      // Optional fields: baselines predating server-side telemetry (and
-      // runs compared against them) skip these rows entirely.
-      const obs::JsonValue* bp = b ? b->find("server_p99_ms") : nullptr;
-      const obs::JsonValue* cp = cc->at(i).find("server_p99_ms");
-      if (bp && cp && bp->as_double() > 0 && cp->as_double() > 0)
-        rows.push_back({"serve[" + std::to_string(n) + "c].server_p99_ms",
-                        bp->as_double(), cp->as_double(),
-                        kServeLatencyTolerance, /*lower_is_better=*/true});
-      // Scan amplification (bytes scanned per byte surviving filters,
-      // from the access profiler) regresses upward; the ratio is a
-      // property of the Zipf query mix, not the scheduler, so a
-      // moderate band suffices. Baselines without the field (and the
-      // warm-cache read_amplification, which sits at ~0) gate nothing.
-      const obs::JsonValue* bsc = b ? b->find("scan_amplification") : nullptr;
-      const obs::JsonValue* csc = cc->at(i).find("scan_amplification");
-      if (bsc && csc && bsc->as_double() > 0 && csc->as_double() > 0)
-        rows.push_back({"serve[" + std::to_string(n) + "c].scan_amplification",
-                        bsc->as_double(), csc->as_double(), 0.25,
-                        /*lower_is_better=*/true});
-      const obs::JsonValue* bra = b ? b->find("read_amplification") : nullptr;
-      const obs::JsonValue* cra = cc->at(i).find("read_amplification");
-      if (bra && cra && bra->as_double() > 0 && cra->as_double() > 0)
-        rows.push_back({"serve[" + std::to_string(n) + "c].read_amplification",
-                        bra->as_double(), cra->as_double(), 0.25,
-                        /*lower_is_better=*/true});
-    }
-  const obs::JsonValue* bs = base.find("scaling_16c");
-  const obs::JsonValue* cs = cur.find("scaling_16c");
-  if (bs && cs)
-    rows.push_back(
-        {"scaling_16c", bs->as_double(), cs->as_double(), kServeTolerance});
-
-  return gate_rows(rows,
-                   "servepath vs baseline (gate: >35% regression fails; "
-                   "closed-loop QPS rides scheduler weather)",
-                   "servepath");
-}
-
-int run_servepath(const std::string& json_path, const std::string& compare_path,
-                  int reps) {
-  std::string baseline_text;
-  if (!compare_path.empty()) {
-    const std::vector<std::byte> bytes = read_file(compare_path);
-    baseline_text.assign(reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size());
-  }
-#if defined(__GLIBC__)
-  // Same arena policy as readpath: query results churn MB-sized buffers
-  // every completion; keep them off the mmap path.
-  mallopt(M_MMAP_THRESHOLD, 256 << 20);
-  mallopt(M_TRIM_THRESHOLD, 256 << 20);
-#endif
-  const Schema schema = Schema::uintah();
-  ReadEngine& eng = ReadEngine::instance();
-
-  // The readpath dataset: 216 files (6x6x6 patches, one partition per
-  // patch), the many-partition-files layout a query service fronts.
-  constexpr int kRanks = 216;
-  constexpr std::uint64_t kPerRank = 3700;
-  TempDir scratch("spio-servepath");
-  const std::filesystem::path dsdir = scratch.path() / "ds";
-  {
-    const PatchDecomposition decomp =
-        PatchDecomposition::for_ranks(Box3::unit(), kRanks);
-    simmpi::run(kRanks, [&](simmpi::Comm& comm) {
-      const auto local = workload::uniform(
-          schema, decomp.patch(comm.rank()), kPerRank,
-          stream_seed(21, static_cast<std::uint64_t>(comm.rank())),
-          static_cast<std::uint64_t>(comm.rank()) * kPerRank);
-      WriterConfig cfg;
-      cfg.dir = dsdir;
-      cfg.factor = {1, 1, 1};
-      write_dataset(comm, decomp, local, cfg);
-    });
-  }
-  const Dataset ds = Dataset::open(dsdir);
-
-  // Serving state: warm cache (the steady state of a query service; the
-  // cold ramp is readpath's subject), fixed engine shape for a
-  // reproducible committed baseline.
-  eng.set_concurrency(16);
-  eng.set_cache_budget(512ull << 20);
-  eng.clear_cache();
-
-  // The hot query set: a Zipf(3.0) spot over 8 mixed queries — 5 box, 2
-  // LOD (coarse levels only), 1 range filter — each over a ~0.3-wide
-  // sub-box, i.e. a handful of the 216 files. The skew is the point:
-  // real exploratory traffic hammers the few regions where the physics
-  // is, and the service turns that overlap into coalesced executions.
-  constexpr double kZipfS = 3.0;
-  const std::vector<Dataset::RangeFilter> dens{
-      {schema.index_of("density"), 0, 1000.0, 1050.0}};
-  struct HotSpec {
-    const char* key;
-    Box3 box;
-    int levels;     // -1 = all
-    bool filtered;  // apply `dens`
-  };
-  const std::vector<HotSpec> specs{
-      {"box-a", Box3({0.05, 0.05, 0.05}, {0.35, 0.35, 0.35}), -1, false},
-      {"box-b", Box3({0.60, 0.60, 0.60}, {0.90, 0.90, 0.90}), -1, false},
-      {"box-c", Box3({0.05, 0.60, 0.05}, {0.35, 0.90, 0.35}), -1, false},
-      {"box-d", Box3({0.60, 0.05, 0.60}, {0.90, 0.35, 0.90}), -1, false},
-      {"box-e", Box3({0.35, 0.35, 0.35}, {0.65, 0.65, 0.65}), -1, false},
-      {"lod-a", Box3({0.05, 0.05, 0.60}, {0.35, 0.35, 0.90}), 2, false},
-      {"lod-b", Box3({0.60, 0.60, 0.05}, {0.90, 0.90, 0.35}), 2, false},
-      {"rng-a", Box3({0.20, 0.20, 0.20}, {0.50, 0.50, 0.50}), -1, true},
-  };
-  std::vector<HotQuery> hot;
-  std::vector<std::unique_ptr<ParticleBuffer>> wants;
-  for (const HotSpec& s : specs) {
-    HotQuery q;
-    q.key = s.key;
-    if (s.filtered)
-      q.fn = [&ds, box = s.box, &dens] { return ds.query(box, dens); };
-    else
-      q.fn = [&ds, box = s.box, levels = s.levels] {
-        return ds.query_box(box, levels);
-      };
-    // Direct-query oracle (and cache prime): the service must hand back
-    // exactly these bytes for every client, coalesced or not.
-    wants.push_back(std::make_unique<ParticleBuffer>(q.fn()));
-    q.want = wants.back().get();
-    hot.push_back(std::move(q));
-  }
-  const std::vector<double> cdf = zipf_cdf(hot.size(), kZipfS);
-
-  Json j;
-  j.open_obj();
-  j.field("bench", "servepath");
-  j.field("generated_by", "tools/spio_bench --serve --json BENCH_servepath.json");
-  j.field("dataset_files",
-          static_cast<std::uint64_t>(ds.metadata().files.size()));
-  j.field("workers", 4);
-  j.field("queue_depth", 1024);
-  j.field("hot_queries", static_cast<std::uint64_t>(hot.size()));
-  j.field("zipf_s", kZipfS);
-
-  std::atomic<int> mismatches{0};
-  double qps1 = 0, qps16 = 0;
-  j.open_arr("clients");
-  for (const int n : {1, 4, 16}) {
-    ServeWindow best;
-    for (int r = 0; r < reps; ++r) {
-      const ServeWindow w = run_serve_window(hot, cdf, n, &mismatches);
-      if (w.qps > best.qps) best = w;
-    }
-    j.open_obj();
-    j.field("clients", n);
-    j.field("qps", best.qps);
-    j.field("p50_ms", best.p50_ms);
-    j.field("p99_ms", best.p99_ms);
-    j.field("queries", best.queries);
-    j.field("server_p50_ms", best.server_p50_ms);
-    j.field("server_p99_ms", best.server_p99_ms);
-    j.field("server_queries", best.server_queries);
-    j.field("accepted", best.stats.accepted);
-    j.field("coalesced", best.stats.coalesced);
-    j.field("rejected", best.stats.rejected);
-    j.field("read_amplification", best.read_amplification);
-    j.field("scan_amplification", best.scan_amplification);
-    j.close_obj();
-    std::cout << n << " client(s): " << best.qps << " qps  p50 "
-              << best.p50_ms << " ms  p99 " << best.p99_ms
-              << " ms  (server-side p50 " << best.server_p50_ms << " ms  p99 "
-              << best.server_p99_ms << " ms; " << best.stats.coalesced
-              << " of " << best.stats.accepted << " coalesced; scan amp "
-              << best.scan_amplification << ")\n";
-    if (n == 1) qps1 = best.qps;
-    if (n == 16) qps16 = best.qps;
-  }
-  j.close_arr();
-  const double scaling = qps1 > 0 ? qps16 / qps1 : 0;
-  j.field("scaling_16c", scaling);
-  j.close_obj();
-  std::cout << "scaling_16c: x" << scaling << "\n";
-
-  if (mismatches.load() != 0) {
-    std::cerr << "serve: " << mismatches.load()
-              << " result(s) differ from the direct query\n";
-    return 1;
-  }
-  if (!json_path.empty()) write_json(json_path, j.str());
-  if (!compare_path.empty()) return compare_servepath(baseline_text, j.str());
-  return 0;
 }
 
 }  // namespace
@@ -1642,12 +78,7 @@ int main(int argc, char** argv) {
   int reps = 3;
   std::filesystem::path base;
   std::string json_path;
-  std::string compare_path;
   std::filesystem::path trace_path;
-  std::filesystem::path postmortem_dir;
-  bool hotpath = false;
-  bool readpath = false;
-  bool serve = false;
   std::vector<PartitionFactor> factors = {
       {1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}, {4, 2, 2}};
 
@@ -1665,11 +96,6 @@ int main(int argc, char** argv) {
     else if (arg == "--reps") reps = std::atoi(next());
     else if (arg == "--dir") base = next();
     else if (arg == "--json") json_path = next();
-    else if (arg == "--hotpath") hotpath = true;
-    else if (arg == "--readpath") readpath = true;
-    else if (arg == "--serve") serve = true;
-    else if (arg == "--compare") compare_path = next();
-    else if (arg == "--dump-postmortem") postmortem_dir = next();
     else if (arg == "--trace") trace_path = next();
     else if (arg == "--factors") {
       factors.clear();
@@ -1686,9 +112,7 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: spio_bench [--ranks N] [--particles P] "
                    "[--reps R] [--dir path] [--factors f1,f2,...] "
-                   "[--json FILE] [--hotpath] [--readpath] [--serve] "
-                   "[--compare FILE] "
-                   "[--dump-postmortem DIR] [--trace FILE]\n";
+                   "[--json FILE] [--trace FILE]\n";
       return 2;
     }
   }
@@ -1699,45 +123,6 @@ int main(int argc, char** argv) {
 
   obs::init_from_env();  // honor SPIO_TRACE / SPIO_LOG like the tests do
   if (!trace_path.empty()) obs::enable();
-  const auto flush_trace = [&] {
-    if (trace_path.empty()) return;
-    obs::Tracer::instance().write_chrome_trace(trace_path);
-    std::cout << "trace written to " << trace_path.string() << "\n";
-  };
-  // `--dump-postmortem DIR`: write a postmortem bundle from the live
-  // flight recorder after the run. Not a failure — a smoke artifact so
-  // CI can validate the black-box format against a real pipeline run.
-  const auto dump_postmortem = [&] {
-    if (postmortem_dir.empty()) return;
-    obs::PostmortemInfo info;
-    info.reason = "benchmark smoke bundle (not a failure)";
-    info.phase = "bench";
-    if (obs::save_postmortem(postmortem_dir, info))
-      std::cout << "wrote "
-                << (postmortem_dir / obs::kPostmortemFile).string() << "\n";
-    else
-      std::cerr << "cannot write postmortem bundle to '"
-                << postmortem_dir.string() << "'\n";
-  };
-
-  if (!compare_path.empty() && !hotpath && !readpath && !serve) {
-    std::cerr << "--compare requires --hotpath, --readpath or --serve\n";
-    return 2;
-  }
-  if (static_cast<int>(hotpath) + static_cast<int>(readpath) +
-          static_cast<int>(serve) >
-      1) {
-    std::cerr << "--hotpath, --readpath and --serve are separate runs\n";
-    return 2;
-  }
-  if (hotpath || readpath || serve) {
-    const int rc = hotpath   ? run_hotpath(json_path, compare_path, reps)
-                   : readpath ? run_readpath(json_path, compare_path, reps)
-                             : run_servepath(json_path, compare_path, reps);
-    dump_postmortem();
-    flush_trace();
-    return rc;
-  }
 
   TempDir scratch("spio-bench");
   const std::filesystem::path work = base.empty() ? scratch.path() : base;
@@ -1751,13 +136,7 @@ int main(int argc, char** argv) {
             << " particles (" << format_bytes(total_bytes)
             << " per write), best of " << reps << " reps\n\n";
 
-  Json j;
-  j.open_obj();
-  j.field("bench", "write_sweep");
-  j.field("ranks", ranks);
-  j.field("particles_per_rank", particles);
-  j.field("total_bytes", total_bytes);
-  j.open_arr("write");
+  JsonValue writes = JsonValue::array();
 
   Table wt("write sweep", {"factor", "files", "write (ms)", "GB/s",
                            "agg %", "shuffle %", "file I/O %"});
@@ -1801,31 +180,29 @@ int main(int argc, char** argv) {
                     1)
         .add_double(100.0 * job.reorder_seconds / t, 1)
         .add_double(100.0 * job.file_io_seconds / t, 1);
-    j.open_obj();
-    j.field("factor", f.to_string());
-    j.field("files", job.files_written);
-    j.field("write_ms", best_rep);
-    j.field("gbs", throughput_gbs(total_bytes, best_rep / 1e3));
-    j.field("meta_exchange_s", job.meta_exchange_seconds);
-    j.field("particle_exchange_s", job.particle_exchange_seconds);
-    j.field("reorder_s", job.reorder_seconds);
-    j.field("file_io_s", job.file_io_seconds);
-    j.field("metadata_io_s", job.metadata_io_seconds);
-    j.close_obj();
+    JsonValue& w = writes.push_back(JsonValue::object());
+    w.set("factor", JsonValue::string(f.to_string()));
+    w.set("files", JsonValue::number(job.files_written));
+    w.set("write_ms", JsonValue::number(best_rep));
+    w.set("gbs", JsonValue::number(throughput_gbs(total_bytes, best_rep / 1e3)));
+    w.set("meta_exchange_s", JsonValue::number(job.meta_exchange_seconds));
+    w.set("particle_exchange_s",
+          JsonValue::number(job.particle_exchange_seconds));
+    w.set("reorder_s", JsonValue::number(job.reorder_seconds));
+    w.set("file_io_s", JsonValue::number(job.file_io_seconds));
+    w.set("metadata_io_s", JsonValue::number(job.metadata_io_seconds));
     if (best_rep < best_ms) {
       best_ms = best_rep;
       best = f;
     }
   }
   wt.print(std::cout);
-  j.close_arr();
 
   // Read strong scaling on the best configuration's first rep.
   const auto dataset = work / ("w_" + best.to_string() + "_0");
   Table rt("read strong scaling on " + best.to_string() + " dataset",
            {"readers", "read (ms)", "files/reader", "GB/s"});
-  j.field("best_factor", best.to_string());
-  j.open_arr("read");
+  JsonValue reads = JsonValue::array();
   for (int readers = 1; readers <= ranks; readers *= 2) {
     double best_rep = 1e300;
     std::uint64_t files = 0;
@@ -1851,18 +228,28 @@ int main(int argc, char** argv) {
         .add_double(best_rep, 1)
         .add_double(static_cast<double>(files) / readers, 1)
         .add_double(throughput_gbs(total_bytes, best_rep / 1e3), 3);
-    j.open_obj();
-    j.field("readers", readers);
-    j.field("read_ms", best_rep);
-    j.field("files_per_reader", static_cast<double>(files) / readers);
-    j.field("gbs", throughput_gbs(total_bytes, best_rep / 1e3));
-    j.close_obj();
+    JsonValue& r = reads.push_back(JsonValue::object());
+    r.set("readers", JsonValue::number(readers));
+    r.set("read_ms", JsonValue::number(best_rep));
+    r.set("files_per_reader",
+          JsonValue::number(static_cast<double>(files) / readers));
+    r.set("gbs", JsonValue::number(throughput_gbs(total_bytes, best_rep / 1e3)));
   }
   rt.print(std::cout);
-  j.close_arr();
-  j.close_obj();
-  if (!json_path.empty()) write_json(json_path, j.str());
-  dump_postmortem();
-  flush_trace();
+  if (!json_path.empty()) {
+    JsonValue doc = JsonValue::object();
+    doc.set("bench", JsonValue::string("write_sweep"));
+    doc.set("ranks", JsonValue::number(ranks));
+    doc.set("particles_per_rank", JsonValue::number(particles));
+    doc.set("total_bytes", JsonValue::number(total_bytes));
+    doc.set("write", std::move(writes));
+    doc.set("best_factor", JsonValue::string(best.to_string()));
+    doc.set("read", std::move(reads));
+    write_json(json_path, doc);
+  }
+  if (!trace_path.empty()) {
+    obs::Tracer::instance().write_chrome_trace(trace_path);
+    std::cout << "trace written to " << trace_path.string() << "\n";
+  }
   return 0;
 }

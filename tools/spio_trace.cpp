@@ -39,7 +39,8 @@
 /// profile must carry self-consistent byte accounting (per-file tallies
 /// summing exactly to its totals, per-query file splits summing to the
 /// query's totals, fetched never exceeding scanned) — and exits non-zero
-/// on any violation (used by `bench/run_hotpath.sh` as a CI gate).
+/// on any violation (the `obs_artifact_check_*` ctest entries run it on
+/// the artifacts of a real `spio_bench` run).
 
 #include <algorithm>
 #include <cstring>
