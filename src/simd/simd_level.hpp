@@ -13,6 +13,14 @@
 ///                 kernels (read_detail::filter_box etc.), which remain
 ///                 the byte-identity oracles.
 ///
+/// What dispatches on the level:
+///
+///   * the read kernels (simd/kernels.hpp: `filter_box`,
+///     `filter_box_ranges`, `bin_by_owner`) pick the AVX2 or SSE2 TU,
+///     or return false below SSE2;
+///   * CRC-64 (util/checksum.hpp) takes its PCLMULQDQ fold at SSE2 and
+///     above when the CPU has PCLMULQDQ, and slicing-by-16 otherwise.
+///
 /// `SPIO_SIMD` caps the level from the environment: `off`/`scalar`/`0`
 /// force the scalar fallback everywhere (the differential suites run
 /// once per path), `sse2` caps at SSE2, `avx2`/unset means "whatever

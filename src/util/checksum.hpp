@@ -6,13 +6,20 @@
 /// `checksums.spio` sidecar that lets readers detect silent data-file
 /// corruption (bit rot, torn writes that escaped the writer).
 ///
-/// The production implementation is slicing-by-16 (sixteen independent
-/// table lookups per pair of 64-bit words, XORed as a tree the CPU can
-/// overlap); `crc64_bytewise` keeps the classic one-table form as a
-/// differential-testing reference and perf baseline. The streaming
-/// entry points (`Crc64`, `crc64_write_file`, `crc64_file`) let the hot
-/// write path fold checksumming into the file pass instead of re-scanning
-/// whole files.
+/// Two kernel tiers compute the same CRC. On x86-64 CPUs with PCLMULQDQ,
+/// inputs of 128 bytes and more fold 64 bytes per step with carry-less
+/// multiplies (four 128-bit accumulators), then reduce through the
+/// tables. Everywhere else, and whenever `simd::active_level()` is
+/// scalar (`SPIO_SIMD=off`, `simd::ScopedLevelCap`), the portable tier
+/// is slicing-by-16 (sixteen independent table lookups per pair of
+/// 64-bit words, XORed as a tree the CPU can overlap). `crc64_bytewise`
+/// keeps the classic one-table form as the differential-testing oracle.
+/// The streaming entry points (`Crc64`, `crc64_write_file`, `crc64_file`)
+/// let the hot write path fold checksumming into the file pass instead
+/// of re-scanning whole files.
+///
+/// Built into `spio_simd` (src/simd/checksum.cpp), because the tier
+/// choice dispatches on `simd::active_level()`.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,8 +55,7 @@ class Crc64 {
 std::uint64_t crc64(std::span<const std::byte> data);
 
 /// Byte-at-a-time reference implementation of the same CRC. Slower than
-/// `crc64`; exists so tests can cross-check the sliced tables and so the
-/// perf baseline can report the speedup against it.
+/// `crc64`; exists so tests can cross-check both kernel tiers against it.
 std::uint64_t crc64_bytewise(std::span<const std::byte> data);
 
 /// Write `bytes` to `path` (replacing any existing file) while computing

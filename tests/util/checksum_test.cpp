@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
+#include "simd/simd_level.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/temp_dir.hpp"
@@ -86,6 +88,67 @@ TEST(Crc64, SlicedMatchesBytewiseAtEveryAlignment) {
                                           data.size() - off};
     EXPECT_EQ(crc64(tail), crc64_bytewise(tail)) << "offset=" << off;
   }
+}
+
+/// Runs `check` on the dispatched tier (carry-less where the CPU has
+/// PCLMULQDQ), then with SIMD capped off, which is the portable
+/// slicing-by-16 tier.
+template <class Check>
+void on_both_tiers(Check check) {
+  {
+    SCOPED_TRACE("dispatched tier");
+    check();
+  }
+  simd::ScopedLevelCap portable(simd::Level::kScalar);
+  SCOPED_TRACE("portable tier");
+  check();
+}
+
+TEST(Crc64, TiersMatchBytewiseAtEveryLengthAndOffset) {
+  // Every length through 1024 covers the carry-less tier's 128-byte
+  // entry threshold, its 64-byte blocks and every tail it hands on.
+  const auto data = random_bytes(1024 + 16, 5);
+  std::vector<std::uint64_t> want;
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      want.push_back(crc64_bytewise({data.data() + off, n}));
+    }
+  }
+  on_both_tiers([&] {
+    std::size_t i = 0;
+    for (std::size_t off = 0; off < 16; ++off) {
+      for (std::size_t n = 0; n <= 1024; ++n, ++i) {
+        ASSERT_EQ(crc64({data.data() + off, n}), want[i])
+            << "offset=" << off << " n=" << n;
+      }
+    }
+  });
+}
+
+TEST(Crc64, TiersMatchBytewiseOnEightMebibytes) {
+  const auto data = random_bytes(8u << 20, 17);
+  const std::uint64_t want = crc64_bytewise(data);
+  on_both_tiers([&] { EXPECT_EQ(crc64(data), want); });
+}
+
+TEST(Crc64, TiersStreamAcrossFoldBlockEdges) {
+  // Chunk sizes straddle the 16-byte slice, the 64-byte fold block and
+  // the 128-byte threshold, so the running register crosses from one
+  // tier to the other mid-stream.
+  const auto data = random_bytes((2u << 20) + 777, 23);
+  const std::uint64_t want = crc64_bytewise(data);
+  on_both_tiers([&] {
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{63},
+          std::size_t{64}, std::size_t{127}, std::size_t{128},
+          std::size_t{1000}, std::size_t{(1u << 20) - 1}}) {
+      Crc64 crc;
+      for (std::size_t off = 0; off < data.size(); off += chunk) {
+        crc.update({data.data() + off, std::min(chunk, data.size() - off)});
+      }
+      EXPECT_EQ(crc.value(), want) << "chunk=" << chunk;
+    }
+  });
 }
 
 TEST(Crc64, StreamingMatchesOneShotAtEverySplitPoint) {
