@@ -6,7 +6,6 @@
 
 #include "core/query_plan/kd_tree.hpp"
 #include "core/read_engine.hpp"
-#include "obs/access_profile.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
@@ -92,8 +91,7 @@ ParticleBuffer distributed_read(simmpi::Comm& comm,
     // Owner binning delivers every scanned record to some rank, so the
     // whole prefix counts as used in the access profile (the disjoint
     // tiles cover the domain; nothing is filtered away).
-    obs::AccessProfiler::instance().record_used(ds.profile_base(), fi,
-                                                prefix.bytes().size());
+    ds.record_access(fi, prefix, prefix.bytes().size());
   }
   io_span.end();
 
@@ -115,16 +113,7 @@ ParticleBuffer distributed_read(simmpi::Comm& comm,
   // What this rank *returns* is what it owns after the exchange, not what
   // it scanned on behalf of others.
   acc.particles_returned = mine.size();
-  if (obs::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("reader.particles_returned").add(mine.size());
-    reg.counter("reader.bytes_returned").add(mine.byte_size());
-    const std::uint64_t read = reg.counter("reader.bytes_read").value();
-    const std::uint64_t ret = reg.counter("reader.bytes_returned").value();
-    if (ret > 0)
-      reg.gauge("reader.read_amplification")
-          .set(static_cast<double>(read) / static_cast<double>(ret));
-  }
+  read_detail::publish_read_stats(acc, ds.metadata().schema.record_size());
   if (stats) stats->accumulate(acc);
 
   if (record_run) {

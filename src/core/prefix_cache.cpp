@@ -1,19 +1,9 @@
 #include "core/prefix_cache.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "simd/position_mirror.hpp"
 
 namespace spio {
-
-namespace {
-
-void publish_counter(const char* name, std::uint64_t delta) {
-  if (delta == 0 || !obs::stats_enabled()) return;
-  obs::MetricsRegistry::global().counter(name).add(delta);
-}
-
-}  // namespace
 
 std::uint64_t PrefixCache::entry_bytes(const Entry& e) {
   return e.data->size() + (e.mirror ? e.mirror->byte_size() : 0);
@@ -45,10 +35,10 @@ std::shared_ptr<const ByteBlock> PrefixCache::lookup(
     }
   }
   if (found) {
-    publish_counter("reader.cache.hits", 1);
+    obs::publish_counter("reader.cache.hits", 1);
     return found;
   }
-  publish_counter("reader.cache.bytes_evicted", evicted_delta);
+  obs::publish_counter("reader.cache.bytes_evicted", evicted_delta);
   return nullptr;
 }
 
@@ -76,8 +66,8 @@ void PrefixCache::insert(const std::string& key,
       map_.emplace(key, lru_.begin());
     }
   }
-  publish_counter("reader.cache.misses", 1);
-  publish_counter("reader.cache.bytes_evicted", evicted_delta);
+  obs::publish_counter("reader.cache.misses", 1);
+  obs::publish_counter("reader.cache.bytes_evicted", evicted_delta);
 }
 
 void PrefixCache::invalidate(const std::string& key) {
@@ -89,7 +79,7 @@ void PrefixCache::invalidate(const std::string& key) {
     evicted_delta = entry_bytes(*it->second);
     evict_locked(it->second);
   }
-  publish_counter("reader.cache.bytes_evicted", evicted_delta);
+  obs::publish_counter("reader.cache.bytes_evicted", evicted_delta);
 }
 
 void PrefixCache::clear() {
@@ -100,7 +90,7 @@ void PrefixCache::clear() {
     shrink_to_locked(0);
     evicted_delta = stats_.bytes_evicted - before;
   }
-  publish_counter("reader.cache.bytes_evicted", evicted_delta);
+  obs::publish_counter("reader.cache.bytes_evicted", evicted_delta);
 }
 
 void PrefixCache::set_budget(std::uint64_t bytes) {
@@ -112,7 +102,7 @@ void PrefixCache::set_budget(std::uint64_t bytes) {
     shrink_to_locked(budget_);
     evicted_delta = stats_.bytes_evicted - before;
   }
-  publish_counter("reader.cache.bytes_evicted", evicted_delta);
+  obs::publish_counter("reader.cache.bytes_evicted", evicted_delta);
 }
 
 std::uint64_t PrefixCache::budget() const {

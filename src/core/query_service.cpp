@@ -33,11 +33,6 @@ int default_workers() {
   return clamped < 2 ? 2 : clamped;
 }
 
-void publish_counter(const char* name, std::uint64_t delta) {
-  if (delta == 0 || !obs::stats_enabled()) return;
-  obs::MetricsRegistry::global().counter(name).add(delta);
-}
-
 void publish_queue_depth(std::size_t depth) {
   if (!obs::stats_enabled()) return;
   auto& reg = obs::MetricsRegistry::global();
@@ -74,7 +69,7 @@ std::future<QueryService::Result> QueryService::submit(QueryFn fn,
     std::lock_guard lk(mu_);
     if (stopping_) {
       ++tallies_.rejected;
-      publish_counter("service.rejected", 1);
+      obs::publish_counter("service.rejected", 1);
       throw RejectedError("query service is shut down");
     }
     if (!opt.coalesce_key.empty()) {
@@ -86,13 +81,13 @@ std::future<QueryService::Result> QueryService::submit(QueryFn fn,
         fut = it->second->waiters.back().get_future();
         ++tallies_.accepted;
         ++tallies_.coalesced;
-        publish_counter("service.coalesced", 1);
+        obs::publish_counter("service.coalesced", 1);
         return fut;
       }
     }
     if (queue_.size() >= static_cast<std::size_t>(depth_)) {
       ++tallies_.rejected;
-      publish_counter("service.rejected", 1);
+      obs::publish_counter("service.rejected", 1);
       throw RejectedError("admission queue full (" + std::to_string(depth_) +
                           " queued)");
     }
@@ -132,6 +127,8 @@ void QueryService::drain_one() {
   Result result;
   std::exception_ptr error;
   const auto started_at = Clock::now();
+  std::uint64_t wait_us = 0;
+  std::uint64_t latency_us = 0;
   {
     // The query ID scopes the whole execution: every span, log line and
     // flight record below — including those on engine pool workers,
@@ -155,14 +152,15 @@ void QueryService::drain_one() {
     // few relaxed adds per query, same budget class as the flight
     // recorder): the stats exporter (`SPIO_STATS`) reads these without
     // tracing enabled. Latency is admission → completion, the
-    // figure a client would see from inside the server.
-    const auto now = Clock::now();
+    // figure a client would see from inside the server. The one clock
+    // read feeds the histograms, the SLO check, the log line and the
+    // access profile alike.
     const auto us = [](Clock::duration d) {
       return static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(d).count());
     };
-    const std::uint64_t wait_us = us(started_at - job->admitted_at);
-    const std::uint64_t latency_us = us(now - job->admitted_at);
+    wait_us = us(started_at - job->admitted_at);
+    latency_us = us(Clock::now() - job->admitted_at);
     auto& reg = obs::MetricsRegistry::global();
     static auto& latency_hist = reg.windowed("service.latency_us");
     static auto& wait_hist = reg.windowed("service.queue_wait_us");
@@ -171,7 +169,7 @@ void QueryService::drain_one() {
     const std::uint64_t slo = obs::slo_budget_us();
     if (slo != 0 && latency_us > slo) {
       slo_violations_.fetch_add(1, std::memory_order_relaxed);
-      publish_counter("service.slo_violations", 1);
+      obs::publish_counter("service.slo_violations", 1);
     }
     obs::log::Event(obs::log::Level::kDebug, "serve.query.done")
         .kv("wait_us", wait_us)
@@ -194,16 +192,8 @@ void QueryService::drain_one() {
   // Annotate the access profile's query record (detailed mode) with the
   // service-side view: queue wait, admission→completion latency, and
   // how many coalesced clients this one execution served.
-  {
-    const auto us = [](Clock::duration d) {
-      return static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(d).count());
-    };
-    const auto now = Clock::now();
-    obs::AccessProfiler::instance().complete_query(
-        job->id, us(started_at - job->admitted_at),
-        us(now - job->admitted_at), waiters.size());
-  }
+  obs::AccessProfiler::instance().complete_query(job->id, wait_us, latency_us,
+                                                 waiters.size());
 
   if (error) {
     std::string what = "unknown query failure";
@@ -225,11 +215,11 @@ void QueryService::drain_one() {
         tallies_.failed += 1;
       }
     }
-    publish_counter(timeout ? "service.deadline_expired" : "service.failed",
-                    1);
+    obs::publish_counter(
+        timeout ? "service.deadline_expired" : "service.failed", 1);
     if (!timeout) note_failure(what);
   } else {
-    publish_counter("service.completed", waiters.size());
+    obs::publish_counter("service.completed", waiters.size());
   }
 
   for (std::promise<Result>& w : waiters) {

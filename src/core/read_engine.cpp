@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "simd/kernels.hpp"
 #include "simd/position_mirror.hpp"
@@ -47,11 +46,6 @@ int default_cache_shards() {
     if (n >= 1) return n;
   }
   return 8;
-}
-
-void publish_counter(const char* name, std::uint64_t delta) {
-  if (delta == 0 || !obs::stats_enabled()) return;
-  obs::MetricsRegistry::global().counter(name).add(delta);
 }
 
 /// Windowed disk-fetch latency (leader and bypass reads only — hits and
@@ -138,7 +132,7 @@ ReadEngine::Fetched ReadEngine::fetch(const std::filesystem::path& path,
   }
 
   if (!leader) {
-    publish_counter("service.singleflight_follower", 1);
+    obs::publish_counter("service.singleflight_follower", 1);
     std::unique_lock lk(fl->mu);
     fl->cv.wait(lk, [&] { return fl->done; });
     if (fl->error) std::rethrow_exception(fl->error);
@@ -149,7 +143,7 @@ ReadEngine::Fetched ReadEngine::fetch(const std::filesystem::path& path,
     return f;
   }
 
-  publish_counter("service.singleflight_leader", 1);
+  obs::publish_counter("service.singleflight_leader", 1);
   std::shared_ptr<const ByteBlock> data;
   std::shared_ptr<const PositionMirror> built_mirror;
   try {
@@ -541,7 +535,7 @@ namespace {
 /// SIMD path (a fleet stuck on fallbacks means mirrors aren't being
 /// built — cache disabled, cold reads, or `SPIO_SIMD=off`).
 void count_dispatch(bool simd) {
-  publish_counter(simd ? "kernel.simd_hits" : "kernel.simd_fallbacks", 1);
+  obs::publish_counter(simd ? "kernel.simd_hits" : "kernel.simd_fallbacks", 1);
 }
 
 const char* dispatch_span_name(bool simd) {

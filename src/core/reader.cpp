@@ -25,22 +25,32 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Return-side counters for one query (naming: docs/OBSERVABILITY.md).
-/// The scan-side counters live in `read_data_file`, so query layers and
-/// direct file readers never double-count.
-void publish_returned(std::uint64_t particles, std::uint64_t bytes) {
-  if (!obs::stats_enabled()) return;
-  auto& reg = obs::MetricsRegistry::global();
-  reg.counter("reader.particles_returned").add(particles);
-  reg.counter("reader.bytes_returned").add(bytes);
-  const std::uint64_t read = reg.counter("reader.bytes_read").value();
-  const std::uint64_t ret = reg.counter("reader.bytes_returned").value();
-  if (ret > 0)
-    reg.gauge("reader.read_amplification")
-        .set(static_cast<double>(read) / static_cast<double>(ret));
-}
-
 }  // namespace
+
+void read_detail::publish_read_stats(const ReadStats& s,
+                                     std::uint64_t record_size) {
+  if (!obs::stats_enabled()) return;
+  obs::publish_counter("reader.files_opened",
+                       static_cast<std::uint64_t>(s.files_opened));
+  obs::publish_counter("reader.bytes_read", s.bytes_read);
+  obs::publish_counter("reader.particles_scanned", s.particles_scanned);
+  obs::publish_counter("reader.particles_returned", s.particles_returned);
+  obs::publish_counter("reader.bytes_returned",
+                       s.particles_returned * record_size);
+  obs::publish_counter("reader.files_skipped",
+                       static_cast<std::uint64_t>(s.files_skipped));
+  obs::publish_counter("reader.lod_bytes_skipped", s.lod_bytes_skipped);
+  // Cumulative `ReadStats::read_amplification`: particles scanned per
+  // particle returned.
+  auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t returned =
+      reg.counter("reader.particles_returned").value();
+  if (returned > 0)
+    reg.gauge("reader.read_amplification")
+        .set(static_cast<double>(
+                 reg.counter("reader.particles_scanned").value()) /
+             static_cast<double>(returned));
+}
 
 ReadStats ReadStats::max_over(const ReadStats& a, const ReadStats& b) {
   ReadStats m;
@@ -138,14 +148,10 @@ QueryPlan Dataset::plan_reference(const Box3& box,
 
 QueryPlan Dataset::run_plan(const Box3& box,
                             std::span<const RangeFilter> filters, int levels,
-                            int n_readers, ReadStats* stats) const {
+                            int n_readers) const {
   obs::ScopedSpan span("planner.plan", "planner");
   const Clock::time_point t0 = Clock::now();
   QueryPlan plan = planner_->plan(meta_, box, filters, levels, n_readers);
-  if (stats) {
-    stats->files_skipped += plan.files_skipped;
-    stats->lod_bytes_skipped += plan.lod_bytes_skipped;
-  }
   if (obs::enabled()) {
     auto& reg = obs::MetricsRegistry::global();
     reg.counter("planner.plans").add(1);
@@ -153,9 +159,6 @@ QueryPlan Dataset::run_plan(const Box3& box,
         .add(static_cast<std::uint64_t>(seconds_since(t0) * 1e6));
     reg.counter("reader.files_considered")
         .add(static_cast<std::uint64_t>(plan.files_considered));
-    reg.counter("reader.files_skipped")
-        .add(static_cast<std::uint64_t>(plan.files_skipped));
-    reg.counter("reader.lod_bytes_skipped").add(plan.lod_bytes_skipped);
   }
   return plan;
 }
@@ -190,12 +193,14 @@ Dataset::FilePrefix Dataset::fetch_file_records(int file_index,
                                      meta_.schema.offset(0)};
   prefix.fetched = eng.fetch(path, want * record, sig, &mspec);
   prefix.count = want;
-  // A single-flight follower shared another query's read: like a hit,
-  // this call opened nothing and read no bytes of its own.
-  const bool opened = prefix.fetched.outcome == CacheOutcome::kBypass ||
-                      prefix.fetched.outcome == CacheOutcome::kMiss;
+  const double seconds = seconds_since(t0);
+  prefix.fetch_us = static_cast<std::uint64_t>(seconds * 1e6);
   if (stats) {
-    if (opened) {
+    // A single-flight follower shared another query's read: like a hit,
+    // this call opened nothing and read no bytes of its own. The access
+    // profiler charges bytes_fetched on the same split.
+    if (prefix.fetched.outcome == CacheOutcome::kBypass ||
+        prefix.fetched.outcome == CacheOutcome::kMiss) {
       stats->files_opened += 1;
       stats->bytes_read += want * record;
       if (prefix.fetched.outcome == CacheOutcome::kMiss)
@@ -204,45 +209,41 @@ Dataset::FilePrefix Dataset::fetch_file_records(int file_index,
       stats->cache_hits += 1;
     }
     stats->particles_scanned += want;
-    stats->file_io_seconds += seconds_since(t0);
+    stats->file_io_seconds += seconds;
   }
-  if (obs::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    if (opened) {
-      reg.counter("reader.files_opened").add(1);
-      reg.counter("reader.bytes_read").add(want * record);
-    }
-    reg.counter("reader.particles_scanned").add(want);
-  }
-  // Always-on spatial attribution: this fetch's bytes land in the
-  // file's profiler slot. The outcome enums share their values, and the
-  // profiler charges bytes_fetched only for kBypass/kMiss — the same
-  // "opened" split as the stats above, so followers and hits never
-  // double-count disk bytes.
-  obs::AccessProfiler::instance().record_fetch(
-      profile_base_, file_index, want * record,
-      static_cast<obs::AccessOutcome>(prefix.fetched.outcome),
-      prefix.fetched.mirror != nullptr,
-      static_cast<std::uint64_t>(seconds_since(t0) * 1e6));
   return prefix;
+}
+
+void Dataset::record_access(int file_index, const FilePrefix& prefix,
+                            std::uint64_t bytes_used, std::uint64_t filter_us,
+                            std::uint64_t merge_us) const {
+  // The outcome enums share their values (obs/access_profile.hpp).
+  obs::AccessProfiler::instance().record_access(
+      profile_base_, file_index,
+      {static_cast<obs::AccessOutcome>(prefix.fetched.outcome),
+       prefix.mirror() != nullptr,
+       prefix.count * meta_.schema.record_size(), prefix.fetch_us,
+       bytes_used, filter_us, merge_us});
 }
 
 ParticleBuffer Dataset::read_data_file(int file_index, int levels,
                                        int n_readers,
                                        ReadStats* stats) const {
+  ReadStats rs;
   FilePrefix prefix = fetch_file_records(
-      file_index, level_prefix_count(file_index, levels, n_readers), stats);
+      file_index, level_prefix_count(file_index, levels, n_readers), &rs);
+  rs.particles_returned = prefix.count;
+  // A direct file read keeps every scanned record: used == scanned.
+  record_access(file_index, prefix,
+                prefix.count * meta_.schema.record_size());
   ParticleBuffer buf(meta_.schema);
   buf.adopt_bytes(prefix.fetched.take_or_copy());
-  if (stats) stats->particles_returned += prefix.count;
-  // A direct file read keeps every scanned record: used == scanned.
-  obs::AccessProfiler::instance().record_used(
-      profile_base_, file_index, prefix.count * meta_.schema.record_size());
+  read_detail::publish_read_stats(rs, meta_.schema.record_size());
+  if (stats) stats->accumulate(rs);
   return buf;
 }
 
-std::uint64_t Dataset::execute_plan(std::span<const FilePlan> files,
-                                    const Box3& box,
+std::uint64_t Dataset::execute_plan(const QueryPlan& plan, const Box3& box,
                                     std::span<const RangeFilter> filters,
                                     bool whole_file_fast_path,
                                     const ChunkSink& sink,
@@ -254,14 +255,13 @@ std::uint64_t Dataset::execute_plan(std::span<const FilePlan> files,
     ReadStats stats;
     std::future<void> done;  // holds the fetch/filter error, if any
   };
-  obs::AccessProfiler& prof = obs::AccessProfiler::instance();
   const auto produce = [&](const FilePlan& p, Chunk& c) {
     const FileRecord& f = meta_.files[static_cast<std::size_t>(p.file)];
     const FilePrefix prefix =
         fetch_file_records(p.file, p.fetch_records, &c.stats);
     // The filter/merge wall time feeds the per-query time breakdown, so
     // the clock is only read in detailed mode.
-    const bool timed = prof.detailed();
+    const bool timed = obs::AccessProfiler::instance().detailed();
     const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
     const bool merged = whole_file_fast_path && box.contains_box(f.bounds);
     if (merged) {
@@ -277,14 +277,13 @@ std::uint64_t Dataset::execute_plan(std::span<const FilePlan> files,
       read_detail::filter_box_ranges_dispatch(
           prefix.bytes(), meta_.schema, box, filters, prefix.mirror(), c.buf);
     }
-    // Survived-the-filter attribution; chunks a stopping sink never
+    // One profile record per file; chunks a stopping sink never
     // consumes still count (they were fetched and filtered).
     const std::uint64_t us =
         timed ? static_cast<std::uint64_t>(seconds_since(t0) * 1e6) : 0;
-    prof.record_used(profile_base_, p.file,
-                     c.buf.size() * meta_.schema.record_size(),
-                     /*filter_us=*/merged ? 0 : us,
-                     /*merge_us=*/merged ? us : 0);
+    record_access(p.file, prefix, c.buf.size() * meta_.schema.record_size(),
+                  /*filter_us=*/merged ? 0 : us,
+                  /*merge_us=*/merged ? us : 0);
   };
 
   // Window of at most `concurrency()` chunks: while the sink consumes
@@ -298,15 +297,20 @@ std::uint64_t Dataset::execute_plan(std::span<const FilePlan> files,
   const read_detail::DeadlineToken* deadline = read_detail::current_deadline();
   const std::uint64_t qid = obs::current_query_id();
   std::deque<Chunk> inflight;  // deque: pushes never move live chunks
+  // The operation's one record, kept whether or not the caller asked
+  // for it: it is what the registry publishes.
+  ReadStats acc;
+  acc.files_skipped = plan.files_skipped;
+  acc.lod_bytes_skipped = plan.lod_bytes_skipped;
   std::size_t next = 0;
   bool done = false;  // failed or stopped: no more sink calls or fetches
   std::exception_ptr failure;
   std::uint64_t delivered = 0;
   for (;;) {
-    while (!done && next < files.size() && inflight.size() < window) {
+    while (!done && next < plan.files.size() && inflight.size() < window) {
       Chunk& c = inflight.emplace_back(meta_.schema);
       c.done = eng.pool().submit(
-          [&produce, &c, p = files[next++], deadline, qid] {
+          [&produce, &c, p = plan.files[next++], deadline, qid] {
             read_detail::ScopedDeadline dl(deadline);
             obs::ScopedQueryId qs(qid);
             produce(p, c);
@@ -331,17 +335,17 @@ std::uint64_t Dataset::execute_plan(std::span<const FilePlan> files,
         done = true;
       }
     }
-    if (stats) stats->accumulate(c.stats);
+    acc.accumulate(c.stats);
     inflight.pop_front();
   }
-  if (stats) stats->particles_returned += delivered;
+  acc.particles_returned = delivered;
+  read_detail::publish_read_stats(acc, meta_.schema.record_size());
+  if (stats) stats->accumulate(acc);
   if (failure) std::rethrow_exception(failure);
-  publish_returned(delivered, delivered * meta_.schema.record_size());
   return delivered;
 }
 
-ParticleBuffer Dataset::collect_plan(std::span<const FilePlan> files,
-                                     const Box3& box,
+ParticleBuffer Dataset::collect_plan(const QueryPlan& plan, const Box3& box,
                                      std::span<const RangeFilter> filters,
                                      bool whole_file_fast_path,
                                      ReadStats* stats) const {
@@ -350,10 +354,10 @@ ParticleBuffer Dataset::collect_plan(std::span<const FilePlan> files,
   // trim when a selective query leaves most of it unused — the trim
   // copy is cheapest exactly when the result is small.
   std::uint64_t upper = 0;
-  for (const FilePlan& p : files) upper += p.fetch_records;
+  for (const FilePlan& p : plan.files) upper += p.fetch_records;
   ParticleBuffer out(meta_.schema);
   out.reserve(static_cast<std::size_t>(upper));
-  execute_plan(files, box, filters, whole_file_fast_path,
+  execute_plan(plan, box, filters, whole_file_fast_path,
                [&out](const ParticleBuffer& chunk) {
                  out.append_bytes(chunk.bytes());
                  return true;
@@ -367,9 +371,8 @@ ParticleBuffer Dataset::query_box(const Box3& box, int levels, int n_readers,
                                   ReadStats* stats) const {
   obs::ScopedSpan span("read.query_box", "reader");
   obs::ProfiledQuery pq("query_box");
-  const QueryPlan plan = run_plan(box, {}, levels, n_readers, stats);
-  return collect_plan(plan.files, box, {}, /*whole_file_fast_path=*/true,
-                      stats);
+  return collect_plan(run_plan(box, {}, levels, n_readers), box, {},
+                      /*whole_file_fast_path=*/true, stats);
 }
 
 ParticleBuffer Dataset::query(const Box3& box,
@@ -389,8 +392,7 @@ ParticleBuffer Dataset::query(const Box3& box,
     SPIO_CHECK(rf.lo <= rf.hi, ConfigError,
                "range filter with lo > hi on field " << rf.field);
   }
-  const QueryPlan plan = run_plan(box, filters, levels, n_readers, stats);
-  return collect_plan(plan.files, box, filters,
+  return collect_plan(run_plan(box, filters, levels, n_readers), box, filters,
                       /*whole_file_fast_path=*/false, stats);
 }
 
@@ -401,9 +403,8 @@ std::uint64_t Dataset::stream_box(
   SPIO_EXPECTS(sink != nullptr);
   obs::ScopedSpan span("read.stream_box", "reader");
   obs::ProfiledQuery pq("stream_box");
-  const QueryPlan plan = run_plan(box, {}, levels, n_readers, stats);
-  return execute_plan(plan.files, box, {}, /*whole_file_fast_path=*/true,
-                      sink, stats);
+  return execute_plan(run_plan(box, {}, levels, n_readers), box, {},
+                      /*whole_file_fast_path=*/true, sink, stats);
 }
 
 ParticleBuffer Dataset::query_box_scan_all(const Box3& box,
@@ -411,11 +412,12 @@ ParticleBuffer Dataset::query_box_scan_all(const Box3& box,
   obs::ScopedSpan span("read.scan_all", "reader");
   obs::ProfiledQuery pq("scan_all");
   // Every file in full, no planner: the baseline works without bounds.
-  std::vector<FilePlan> all(static_cast<std::size_t>(file_count()));
+  QueryPlan all;
+  all.files.resize(static_cast<std::size_t>(file_count()));
   for (int fi = 0; fi < file_count(); ++fi) {
     const std::uint64_t count =
         meta_.files[static_cast<std::size_t>(fi)].particle_count;
-    all[static_cast<std::size_t>(fi)] = {fi, count, count};
+    all.files[static_cast<std::size_t>(fi)] = {fi, count, count};
   }
   // No whole-file shortcut: the baseline deliberately filters every
   // particle ("read all particles ... and then cherry-pick", §4).

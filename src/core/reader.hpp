@@ -122,6 +122,8 @@ class Dataset {
   struct FilePrefix {
     ReadEngine::Fetched fetched;
     std::uint64_t count = 0;
+    /// Wall time of the fetch, for the access profile.
+    std::uint64_t fetch_us = 0;
     std::span<const std::byte> bytes() const { return fetched.bytes(); }
     /// The SoA mirror for the SIMD dispatch wrappers (null = scalar).
     const PositionMirror* mirror() const { return fetched.mirror.get(); }
@@ -133,9 +135,20 @@ class Dataset {
   /// `level_prefix_count`. Counts only scan accounting into `stats`
   /// (files_opened, bytes_read, particles_scanned, cache_*,
   /// file_io_seconds) — never `particles_returned`, so callers never
-  /// have to un-count records they end up filtering out.
+  /// have to un-count records they end up filtering out. Feeds neither
+  /// the metrics registry nor the access profiler: the read entry point
+  /// does both once it is done with the file (`record_access`,
+  /// `read_detail::publish_read_stats`).
   FilePrefix fetch_file_records(int file_index, std::uint64_t records,
                                 ReadStats* stats) const;
+
+  /// The one access-profiler record of one file of a read: the fetch in
+  /// `prefix` plus the `bytes_used` that survived the caller's filter
+  /// (filter/merge µs feed the detailed per-query breakdown; 0 when not
+  /// measured). Attributed to the file's bbox slot registered at open.
+  void record_access(int file_index, const FilePrefix& prefix,
+                     std::uint64_t bytes_used, std::uint64_t filter_us = 0,
+                     std::uint64_t merge_us = 0) const;
 
   /// Spatial box query via the metadata (§4): reads only the files whose
   /// bounds intersect `box`, filters particles of partially-covered files,
@@ -208,22 +221,16 @@ class Dataset {
   /// `SPIO_PLAN=linear` or for bound-less datasets).
   const QueryPlanner& planner() const { return *planner_; }
 
-  /// Base slot of this dataset in the spatial access profiler
-  /// (obs/access_profile.hpp); per-file slot = base + file index. -1
-  /// when the profiler's slot table had no room. Opening registers the
-  /// dataset's partition bboxes so every fetch is attributed always-on.
-  int profile_base() const { return profile_base_; }
-
  private:
   Dataset(std::filesystem::path dir, DatasetMetadata meta);
 
   /// Files intersecting `box`, via the k-d tree when available.
   std::vector<int> intersecting(const Box3& box) const;
 
-  /// Plan a query, record the planner span/metrics and the skip counters
-  /// in `stats` — the shared front half of every query entry point.
+  /// Plan a query and record the planner span/metrics — the shared front
+  /// half of every query entry point.
   QueryPlan run_plan(const Box3& box, std::span<const RangeFilter> filters,
-                     int levels, int n_readers, ReadStats* stats) const;
+                     int levels, int n_readers) const;
 
   /// Receives one file's filtered records; returning false stops the
   /// query.
@@ -239,16 +246,19 @@ class Dataset {
   /// (files already in flight are drained and still count in `stats`).
   /// `whole_file_fast_path` enables the contains_box shortcut (spatial
   /// queries only; attribute queries and the scan-all baseline always
-  /// filter). Returns particles delivered.
-  std::uint64_t execute_plan(std::span<const FilePlan> files, const Box3& box,
+  /// filter). Every file's stats, the plan's skip counts and the
+  /// delivered count sum into one `ReadStats`, which is published
+  /// (`read_detail::publish_read_stats`) and added to `*stats` on every
+  /// exit, failed and stopped queries included. Returns particles
+  /// delivered.
+  std::uint64_t execute_plan(const QueryPlan& plan, const Box3& box,
                              std::span<const RangeFilter> filters,
                              bool whole_file_fast_path, const ChunkSink& sink,
                              ReadStats* stats) const;
 
   /// `execute_plan` with a sink that appends every chunk to one buffer —
   /// the body of `query_box` / `query` / `query_box_scan_all`.
-  ParticleBuffer collect_plan(std::span<const FilePlan> files,
-                              const Box3& box,
+  ParticleBuffer collect_plan(const QueryPlan& plan, const Box3& box,
                               std::span<const RangeFilter> filters,
                               bool whole_file_fast_path,
                               ReadStats* stats) const;
@@ -258,12 +268,22 @@ class Dataset {
   /// The query planner (k-d tree + zone maps + plan mode); shared so
   /// Dataset stays cheaply copyable.
   std::shared_ptr<const QueryPlanner> planner_;
-  /// Access-profiler slot base (see profile_base()).
+  /// Base slot of this dataset in the spatial access profiler; per-file
+  /// slot = base + file index, -1 when the slot table had no room.
   int profile_base_ = -1;
 };
 
 /// The tile of the domain assigned to reader `rank` of `nranks` — the
 /// distributed-rendering read pattern: disjoint tiles covering the domain.
 Box3 reader_tile(const Box3& domain, int rank, int nranks);
+
+namespace read_detail {
+/// Mirror one finished read operation's `ReadStats` into the `reader.*`
+/// counters (docs/OBSERVABILITY.md) under `obs::stats_enabled()`, and
+/// set the `reader.read_amplification` gauge to the cumulative particles
+/// scanned per particle returned. Each read entry point calls it once,
+/// so the registry equals the sum of the stats its callers received.
+void publish_read_stats(const ReadStats& s, std::uint64_t record_size);
+}  // namespace read_detail
 
 }  // namespace spio

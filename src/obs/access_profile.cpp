@@ -121,9 +121,8 @@ int AccessProfiler::register_dataset(const std::string& dir, const Box3& domain,
   return datasets_.back().base;
 }
 
-void AccessProfiler::record_fetch(int base, int file_index, std::uint64_t bytes,
-                                  AccessOutcome outcome, bool had_mirror,
-                                  std::uint64_t fetch_us) {
+void AccessProfiler::record_access(int base, int file_index,
+                                   const FileAccess& a) {
   if (!enabled_.load(kRx)) return;
   FileSlot* slots = slots_.load(std::memory_order_acquire);
   const int slot = base + file_index;
@@ -133,16 +132,17 @@ void AccessProfiler::record_fetch(int base, int file_index, std::uint64_t bytes,
   }
   FileSlot& s = slots[slot];
   s.accesses.fetch_add(1, kRx);
-  s.bytes_scanned.fetch_add(bytes, kRx);
+  s.bytes_scanned.fetch_add(a.bytes_scanned, kRx);
+  s.bytes_used.fetch_add(a.bytes_used, kRx);
   const bool disk =
-      outcome == AccessOutcome::kBypass || outcome == AccessOutcome::kMiss;
+      a.outcome == AccessOutcome::kBypass || a.outcome == AccessOutcome::kMiss;
   std::uint64_t fetched = 0;
   if (disk) {
-    fetched = bytes;
-    s.bytes_fetched.fetch_add(bytes, kRx);
-    s.fetch_us_hist[latency_bucket(fetch_us)].fetch_add(1, kRx);
+    fetched = a.bytes_scanned;
+    s.bytes_fetched.fetch_add(fetched, kRx);
+    s.fetch_us_hist[latency_bucket(a.fetch_us)].fetch_add(1, kRx);
   }
-  switch (outcome) {
+  switch (a.outcome) {
     case AccessOutcome::kBypass:
       s.bypasses.fetch_add(1, kRx);
       break;
@@ -156,7 +156,7 @@ void AccessProfiler::record_fetch(int base, int file_index, std::uint64_t bytes,
       s.followers.fetch_add(1, kRx);
       break;
   }
-  if (had_mirror) s.mirror_fetches.fetch_add(1, kRx);
+  if (a.had_mirror) s.mirror_fetches.fetch_add(1, kRx);
   s.last_touch_us.store(static_cast<std::uint64_t>(now_us()), kRx);
 
   if (!detailed()) return;
@@ -166,32 +166,15 @@ void AccessProfiler::record_fetch(int base, int file_index, std::uint64_t bytes,
   QueryRecord* q = find_open_locked(qid);
   if (q == nullptr) return;
   QueryFile& f = query_file_locked(*q, slot);
-  f.bytes_scanned += bytes;
+  f.bytes_scanned += a.bytes_scanned;
   f.bytes_fetched += fetched;
-  q->bytes_scanned += bytes;
+  f.bytes_used += a.bytes_used;
+  q->bytes_scanned += a.bytes_scanned;
   q->bytes_fetched += fetched;
-  q->fetch_us += fetch_us;
-}
-
-void AccessProfiler::record_used(int base, int file_index, std::uint64_t bytes,
-                                 std::uint64_t filter_us,
-                                 std::uint64_t merge_us) {
-  if (!enabled_.load(kRx)) return;
-  FileSlot* slots = slots_.load(std::memory_order_acquire);
-  const int slot = base + file_index;
-  if (base < 0 || slots == nullptr || slot < 0 || slot >= kMaxSlots) return;
-  slots[slot].bytes_used.fetch_add(bytes, kRx);
-
-  if (!detailed()) return;
-  const std::uint64_t qid = current_query_id();
-  if (qid == 0) return;
-  std::lock_guard<std::mutex> lk(query_mu_);
-  QueryRecord* q = find_open_locked(qid);
-  if (q == nullptr) return;
-  query_file_locked(*q, slot).bytes_used += bytes;
-  q->bytes_used += bytes;
-  q->filter_us += filter_us;
-  q->merge_us += merge_us;
+  q->bytes_used += a.bytes_used;
+  q->fetch_us += a.fetch_us;
+  q->filter_us += a.filter_us;
+  q->merge_us += a.merge_us;
 }
 
 void AccessProfiler::complete_query(std::uint64_t qid, std::uint64_t wait_us,

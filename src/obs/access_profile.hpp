@@ -13,7 +13,9 @@
 ///      (access count, bytes scanned / fetched-from-disk / surviving the
 ///      filter, cache-outcome tallies, a log2 fetch-latency histogram,
 ///      last-touch timestamp) — the same discipline as the flight
-///      recorder: a handful of relaxed RMWs per per-file fetch, bounded
+///      recorder: a handful of relaxed RMWs per file of a read, fed by
+///      one `record_access` call once the file is fetched and filtered
+///      (one slot bounds check, one detailed-mode lock), bounded
 ///      by the profile perf floor (tests/perf/profile_overhead_test.cpp,
 ///      <= 3% of readpath throughput). `set_enabled(false)` is the kill
 ///      switch the floor test measures against.
@@ -101,20 +103,25 @@ class AccessProfiler {
                        std::uint64_t record_size, bool has_bounds,
                        std::vector<FileInfo> files);
 
-  /// One per-file fetch: `bytes` were materialized (scan side), read
-  /// from disk iff `outcome` is kBypass/kMiss, in `fetch_us`
-  /// microseconds. `base` from `register_dataset`, negative = count as
-  /// unattributed.
-  void record_fetch(int base, int file_index, std::uint64_t bytes,
-                    AccessOutcome outcome, bool had_mirror,
-                    std::uint64_t fetch_us);
+  /// One file's share of one read, recorded once when the caller is done
+  /// with the file: the fetch (`bytes_scanned` materialized, read from
+  /// disk iff `outcome` is kBypass/kMiss, in `fetch_us` microseconds)
+  /// and the `bytes_used` that survived the filter. `filter_us` /
+  /// `merge_us` feed the active query record's time breakdown (detailed
+  /// mode; 0 when not measured).
+  struct FileAccess {
+    AccessOutcome outcome = AccessOutcome::kBypass;
+    bool had_mirror = false;
+    std::uint64_t bytes_scanned = 0;
+    std::uint64_t fetch_us = 0;
+    std::uint64_t bytes_used = 0;
+    std::uint64_t filter_us = 0;
+    std::uint64_t merge_us = 0;
+  };
 
-  /// Filter-side attribution: `bytes` of file `base + file_index`
-  /// survived the query's filter. `filter_us`/`merge_us` feed the
-  /// active query record's time breakdown (detailed mode; pass 0 when
-  /// not measured).
-  void record_used(int base, int file_index, std::uint64_t bytes,
-                   std::uint64_t filter_us = 0, std::uint64_t merge_us = 0);
+  /// Attribute `a` to file `base + file_index`. `base` from
+  /// `register_dataset`, negative = count as unattributed.
+  void record_access(int base, int file_index, const FileAccess& a);
 
   /// Service completion annotation for the query record of `qid`
   /// (detailed mode; no-op when the record was never opened or already

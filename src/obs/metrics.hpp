@@ -38,6 +38,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "obs/windowed_histogram.hpp"
 
 namespace spio::obs {
@@ -168,5 +169,13 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>>
       windows_;
 };
+
+/// Add `delta` to the global counter `name` when the stats gate
+/// (`stats_enabled()`) is up; a zero delta is skipped before the
+/// registry lookup.
+inline void publish_counter(std::string_view name, std::uint64_t delta) {
+  if (delta == 0 || !stats_enabled()) return;
+  MetricsRegistry::global().counter(name).add(delta);
+}
 
 }  // namespace spio::obs

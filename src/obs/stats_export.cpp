@@ -167,8 +167,8 @@ void TelemetryExporter::emit_sample(bool final_sample) {
   derived.set("slo_violations_total",
               JsonValue::number(counter_of(now, "service.slo_violations")));
   // Windowed read amplification: disk bytes per returned byte over this
-  // tick only (the cumulative figure lives in the
-  // reader.read_amplification gauge below).
+  // tick only (the reader.read_amplification gauge below is cumulative
+  // particles scanned per particle returned).
   derived.set("read_amplification",
               JsonValue::number(ratio(delta(now, prev_, "reader.bytes_read"),
                                       delta(now, prev_,

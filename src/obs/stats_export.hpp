@@ -37,8 +37,8 @@
 ///                 read_amplification}  — read_amplification is the
 ///                *windowed* disk-bytes-per-returned-byte of this tick
 ///                (delta reader.bytes_read / delta reader.bytes_returned;
-///                the cumulative figure stays in the
-///                `reader.read_amplification` gauge)
+///                the `reader.read_amplification` gauge is the other
+///                figure: cumulative particles scanned per returned)
 ///   hot_files    top-5 files by bytes scanned this tick, from the
 ///                spatial access profiler (access_profile.hpp):
 ///                [{file, dataset, bytes, accesses}]

@@ -76,7 +76,9 @@ std::uint64_t update_raw(std::uint64_t crc, const std::byte* p,
 #if defined(__GNUC__) || defined(__clang__)
     // Non-temporal-hint prefetch a few lines ahead keeps the stream fed
     // when the buffer is DRAM-resident; harmless when it is cache-hot.
-    __builtin_prefetch(p + 512, 0, 0);
+    // Only while the target lies inside the buffer: forming a pointer
+    // past its end is undefined even though the prefetch cannot fault.
+    if (n > 512) __builtin_prefetch(p + 512, 0, 0);
 #endif
     std::uint64_t w1, w2;
     std::memcpy(&w1, p, 8);

@@ -8,12 +8,14 @@
 #include <vector>
 
 #include "core/distributed_read.hpp"
+#include "core/read_engine.hpp"
 #include "core/reader.hpp"
 #include "core/writer.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_record.hpp"
+#include "obs/stats_export.hpp"
 #include "obs/trace.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/temp_dir.hpp"
@@ -250,6 +252,104 @@ TEST_F(PipelineTrace, DisabledRunLeavesDatasetDirClean) {
   // pre-observability format: no run record appears.
   EXPECT_FALSE(obs::run_record_present(dir.path()));
   EXPECT_EQ(obs::Tracer::instance().event_count(), 0u);
+}
+
+/// The `reader.*` registry is a view of the `ReadStats` each read entry
+/// point hands back, published under the stats gate alone: a live
+/// `SPIO_STATS` stream with tracing off must see the scan side too.
+class TelemetryReads : public PipelineTrace {
+ protected:
+  void SetUp() override {
+    PipelineTrace::SetUp();
+    obs::disable();
+    ASSERT_TRUE(obs::TelemetryExporter::instance().start(
+        std::chrono::hours(1), stream_dir_.file("stats.jsonl").string()));
+    ASSERT_FALSE(obs::enabled());
+    ASSERT_TRUE(obs::stats_enabled());
+  }
+  void TearDown() override {
+    obs::TelemetryExporter::instance().stop();
+    PipelineTrace::TearDown();
+  }
+
+  /// A dataset written before the registry and the engine cache are
+  /// cleared, so the reads below start cold and count alone.
+  void write_cold(const std::filesystem::path& dir) {
+    write_dataset_traced(dir);
+    ReadEngine::instance().clear_cache();
+    obs::MetricsRegistry::global().reset();
+  }
+
+  static void expect_counters_equal(const ReadStats& rs,
+                                    std::uint64_t record_size) {
+    EXPECT_EQ(counter("reader.files_opened"),
+              static_cast<std::uint64_t>(rs.files_opened));
+    EXPECT_EQ(counter("reader.bytes_read"), rs.bytes_read);
+    EXPECT_EQ(counter("reader.particles_scanned"), rs.particles_scanned);
+    EXPECT_EQ(counter("reader.particles_returned"), rs.particles_returned);
+    EXPECT_EQ(counter("reader.bytes_returned"),
+              rs.particles_returned * record_size);
+    EXPECT_EQ(counter("reader.files_skipped"),
+              static_cast<std::uint64_t>(rs.files_skipped));
+    EXPECT_EQ(counter("reader.lod_bytes_skipped"), rs.lod_bytes_skipped);
+  }
+
+  /// One reading thread: the gauge's last write saw every counter.
+  static void expect_amplification_equal(const ReadStats& rs) {
+    EXPECT_DOUBLE_EQ(
+        obs::MetricsRegistry::global().gauge("reader.read_amplification")
+            .value(),
+        rs.read_amplification());
+  }
+
+  TempDir stream_dir_{"spio-telemetry"};
+};
+
+TEST_F(TelemetryReads, ColdQueryBoxCountersMatchReadStats) {
+  TempDir dir("spio-pipeline");
+  write_cold(dir.path());
+  const Dataset ds = Dataset::open(dir.path());
+  ReadStats rs;
+  const ParticleBuffer got =
+      ds.query_box(Box3{{0.1, 0.1, 0.1}, {0.7, 0.6, 0.9}}, -1, 1, &rs);
+  ASSERT_GT(rs.bytes_read, 0u) << "the query must read from disk";
+  ASSERT_GT(rs.particles_scanned, got.size()) << "a partial box filters";
+  EXPECT_EQ(rs.particles_returned, got.size());
+  expect_counters_equal(rs, ds.metadata().schema.record_size());
+  expect_amplification_equal(rs);
+}
+
+TEST_F(TelemetryReads, DirectFileReadCountersMatchReadStats) {
+  TempDir dir("spio-pipeline");
+  write_cold(dir.path());
+  const Dataset ds = Dataset::open(dir.path());
+  ReadStats rs;
+  std::uint64_t got = 0;
+  for (int fi = 0; fi < ds.file_count(); ++fi)
+    got += ds.read_data_file(fi, -1, 1, &rs).size();
+  EXPECT_EQ(got, kTotal);
+  EXPECT_EQ(rs.particles_returned, kTotal);
+  expect_counters_equal(rs, ds.metadata().schema.record_size());
+  expect_amplification_equal(rs);
+}
+
+TEST_F(TelemetryReads, DistributedReadCountersMatchReadStats) {
+  TempDir dir("spio-pipeline");
+  write_cold(dir.path());
+  constexpr int kReaders = 4;
+  const PatchDecomposition decomp =
+      PatchDecomposition::for_ranks(Box3::unit(), kReaders);
+  ReadStats sum;
+  std::mutex mu;
+  simmpi::run(kReaders, [&](simmpi::Comm& comm) {
+    ReadStats rs;
+    distributed_read(comm, decomp, dir.path(), -1, &rs);
+    std::lock_guard lk(mu);
+    sum.accumulate(rs);
+  });
+  EXPECT_EQ(sum.particles_returned, kTotal);
+  ASSERT_GT(sum.bytes_read, 0u);
+  expect_counters_equal(sum, Schema::uintah().record_size());
 }
 
 }  // namespace
