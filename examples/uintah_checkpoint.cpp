@@ -14,7 +14,7 @@
 #include <iostream>
 #include <mutex>
 
-#include "core/reader.hpp"
+#include "core/restart.hpp"
 #include "core/writer.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/units.hpp"
@@ -117,11 +117,9 @@ int main(int argc, char** argv) {
   const auto last = base / std::string("t").append(std::to_string(kTimesteps));
   std::mutex mu;
   std::uint64_t restored = 0;
+  const auto readers = PatchDecomposition::for_ranks(decomp.domain(), 4);
   simmpi::run(4, [&](simmpi::Comm& comm) {
-    const Dataset ds = Dataset::open(last);
-    const Box3 tile =
-        reader_tile(ds.metadata().domain, comm.rank(), comm.size());
-    const ParticleBuffer mine = ds.query_box(tile);
+    const ParticleBuffer mine = restart_read(comm, readers, last);
     std::lock_guard lk(mu);
     restored += mine.size();
   });

@@ -102,8 +102,8 @@ const Box3& BoxKdTree::root_bounds() const {
   return nodes_[0].bounds;
 }
 
-template <typename Overlap>
-std::vector<int> BoxKdTree::query_impl(Overlap&& overlap) const {
+std::vector<int> BoxKdTree::query(const Box3& box) const {
+  const auto overlap = [&](const Box3& b) { return b.overlaps(box); };
   std::vector<int> out;
   if (empty() || !overlap(nodes_[0].bounds)) return out;
   std::vector<std::int32_t> stack{0};
@@ -125,14 +125,6 @@ std::vector<int> BoxKdTree::query_impl(Overlap&& overlap) const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<int> BoxKdTree::query(const Box3& box) const {
-  return query_impl([&](const Box3& b) { return b.overlaps(box); });
-}
-
-std::vector<int> BoxKdTree::query_closed(const Box3& box) const {
-  return query_impl([&](const Box3& b) { return b.overlaps_closed(box); });
 }
 
 void BoxKdTree::visit_nearest(

@@ -3,14 +3,12 @@
 /// \file kd_tree.hpp
 /// An immutable balanced k-d tree (bounding-volume flavour) over the
 /// partition bounding boxes of one dataset. Built once at `Dataset::open`
-/// (or parsed from the metadata footer, format v3), it answers the three
+/// (or parsed from the metadata footer, format v3), it answers the two
 /// spatial planning questions in O(log F + hits) instead of the linear
 /// metadata scan:
 ///
 ///   - `query`         open-overlap box search (`Box3::overlaps`), the
 ///                     exact candidate set of `files_intersecting`;
-///   - `query_closed`  closed-overlap search, the conservative candidate
-///                     set distributed reads need for tile ownership;
 ///   - `visit_nearest` best-first traversal by minimum distance, driving
 ///                     the kNN expanding-ball search.
 ///
@@ -48,10 +46,6 @@ class BoxKdTree {
   /// `files_intersecting` scan.
   std::vector<int> query(const Box3& box) const;
 
-  /// Conservative variant: boxes that merely touch `box` count
-  /// (`Box3::overlaps_closed`), ascending.
-  std::vector<int> query_closed(const Box3& box) const;
-
   /// Best-first traversal: `visit(file, min_dist)` is called for every
   /// file in ascending order of its box's minimum distance to `p`;
   /// return false to stop the search.
@@ -82,9 +76,6 @@ class BoxKdTree {
     bool is_leaf() const { return left < 0; }
     bool operator==(const Node&) const = default;
   };
-
-  template <typename Overlap>
-  std::vector<int> query_impl(Overlap&& overlap) const;
 
   std::vector<Node> nodes_;           // preorder; [0] is the root
   std::vector<std::int32_t> leaf_files_;  // file indices grouped per leaf

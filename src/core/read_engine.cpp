@@ -467,67 +467,6 @@ std::uint64_t filter_box_ranges_reference(std::span<const std::byte> bytes,
   return kept;
 }
 
-void bin_by_owner(std::span<const std::byte> bytes, const Schema& schema,
-                  const PatchDecomposition& decomp,
-                  std::vector<ParticleBuffer>& outgoing) {
-  SPIO_EXPECTS(outgoing.size() ==
-               static_cast<std::size_t>(decomp.rank_count()));
-  const std::size_t rec = schema.record_size();
-  SPIO_EXPECTS(rec > 0 && bytes.size() % rec == 0);
-  const std::size_t n = bytes.size() / rec;
-  const std::size_t pos_off = schema.offset(0);
-  const std::byte* base = bytes.data();
-
-  // Pass 1: one point-location per record, folded into owner-tagged
-  // runs; per-owner totals let pass 2 reserve each bin exactly.
-  struct OwnerRun {
-    std::size_t start;
-    std::size_t len;
-    int owner;
-  };
-  std::vector<OwnerRun> runs;
-  std::vector<std::size_t> totals(outgoing.size(), 0);
-  int cur_owner = -1;
-  std::size_t run_start = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double p[3];
-    std::memcpy(p, base + i * rec + pos_off, sizeof p);
-    const int owner = decomp.rank_of(decomp.cell_of({p[0], p[1], p[2]}));
-    if (owner != cur_owner) {
-      if (cur_owner >= 0 && i > run_start) {
-        runs.push_back({run_start, i - run_start, cur_owner});
-        totals[static_cast<std::size_t>(cur_owner)] += i - run_start;
-      }
-      cur_owner = owner;
-      run_start = i;
-    }
-  }
-  if (cur_owner >= 0 && n > run_start) {
-    runs.push_back({run_start, n - run_start, cur_owner});
-    totals[static_cast<std::size_t>(cur_owner)] += n - run_start;
-  }
-
-  // Pass 2: single memcpy per run into exactly-sized bins.
-  for (std::size_t o = 0; o < outgoing.size(); ++o)
-    if (totals[o] > 0) outgoing[o].reserve(outgoing[o].size() + totals[o]);
-  for (const OwnerRun& r : runs)
-    outgoing[static_cast<std::size_t>(r.owner)].append_records(
-        base + r.start * rec, r.len);
-}
-
-void bin_by_owner_reference(std::span<const std::byte> bytes,
-                            const Schema& schema,
-                            const PatchDecomposition& decomp,
-                            std::vector<ParticleBuffer>& outgoing) {
-  SPIO_EXPECTS(outgoing.size() ==
-               static_cast<std::size_t>(decomp.rank_count()));
-  const ParticleBuffer buf = materialize(bytes, schema);
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    const int owner = decomp.rank_of(decomp.cell_of(buf.position(i)));
-    outgoing[static_cast<std::size_t>(owner)].append_from(buf, i);
-  }
-}
-
 namespace {
 
 /// One `kernel.simd_{hits,fallbacks}` tick per kernel dispatch. The
@@ -588,24 +527,6 @@ std::uint64_t filter_box_ranges_dispatch(std::span<const std::byte> bytes,
   obs::ScopedSpan span(dispatch_span_name(false), "kernel");
   count_dispatch(false);
   return filter_box_ranges(bytes, schema, box, filters, out);
-}
-
-void bin_by_owner_dispatch(std::span<const std::byte> bytes,
-                           const Schema& schema,
-                           const PatchDecomposition& decomp,
-                           const PositionMirror* mirror,
-                           std::vector<ParticleBuffer>& outgoing) {
-  if (mirror && simd::active_level() != simd::Level::kScalar) {
-    obs::ScopedSpan span(dispatch_span_name(true), "kernel");
-    if (simd::bin_by_owner(*mirror, bytes, schema.record_size(), decomp,
-                           outgoing)) {
-      count_dispatch(true);
-      return;
-    }
-  }
-  obs::ScopedSpan span(dispatch_span_name(false), "kernel");
-  count_dispatch(false);
-  bin_by_owner(bytes, schema, decomp, outgoing);
 }
 
 }  // namespace read_detail

@@ -61,7 +61,6 @@
 
 #include "core/prefix_cache.hpp"
 #include "util/thread_pool.hpp"
-#include "workload/decomposition.hpp"
 #include "workload/particle_buffer.hpp"
 
 namespace spio {
@@ -291,20 +290,6 @@ std::uint64_t filter_box_ranges_reference(std::span<const std::byte> bytes,
                                           std::span<const RangeFilter> filters,
                                           ParticleBuffer& out);
 
-/// Fused owner binning (the `distributed_read` kernel): append each
-/// record to `outgoing[rank_of(cell_of(position))]`, copying runs with
-/// equal owner with single `memcpy`s. `outgoing.size()` must equal
-/// `decomp.rank_count()`. Per-owner record order is preserved.
-void bin_by_owner(std::span<const std::byte> bytes, const Schema& schema,
-                  const PatchDecomposition& decomp,
-                  std::vector<ParticleBuffer>& outgoing);
-
-/// The retained pre-engine loop, oracle for `bin_by_owner`.
-void bin_by_owner_reference(std::span<const std::byte> bytes,
-                            const Schema& schema,
-                            const PatchDecomposition& decomp,
-                            std::vector<ParticleBuffer>& outgoing);
-
 // -- SIMD dispatch --------------------------------------------------------
 //
 // The read path calls these instead of the fused kernels directly. With
@@ -325,12 +310,6 @@ std::uint64_t filter_box_ranges_dispatch(std::span<const std::byte> bytes,
                                          std::span<const RangeFilter> filters,
                                          const PositionMirror* mirror,
                                          ParticleBuffer& out);
-
-void bin_by_owner_dispatch(std::span<const std::byte> bytes,
-                           const Schema& schema,
-                           const PatchDecomposition& decomp,
-                           const PositionMirror* mirror,
-                           std::vector<ParticleBuffer>& outgoing);
 
 }  // namespace read_detail
 

@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/serialize.hpp"
-#include "workload/decomposition.hpp"
 
 namespace spio {
 
@@ -25,10 +24,12 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-}  // namespace
-
-void read_detail::publish_read_stats(const ReadStats& s,
-                                     std::uint64_t record_size) {
+/// Mirror one finished read operation's `ReadStats` into the `reader.*`
+/// counters (docs/OBSERVABILITY.md) under `obs::stats_enabled()`, and set
+/// the `reader.read_amplification` gauge to the cumulative particles
+/// scanned per particle returned. Each read entry point calls it once, so
+/// the registry equals the sum of the stats its callers received.
+void publish_read_stats(const ReadStats& s, std::uint64_t record_size) {
   if (!obs::stats_enabled()) return;
   obs::publish_counter("reader.files_opened",
                        static_cast<std::uint64_t>(s.files_opened));
@@ -52,6 +53,23 @@ void read_detail::publish_read_stats(const ReadStats& s,
              static_cast<double>(returned));
 }
 
+/// The one access-profiler record of one file of a read: the fetch in
+/// `prefix` plus the `bytes_used` that survived the caller's filter
+/// (filter/merge µs feed the detailed per-query breakdown; 0 when not
+/// measured), attributed to the file's bbox slot registered at open.
+void record_access(int profile_base, const Schema& schema, int file_index,
+                   const Dataset::FilePrefix& prefix, std::uint64_t bytes_used,
+                   std::uint64_t filter_us = 0, std::uint64_t merge_us = 0) {
+  // The outcome enums share their values (obs/access_profile.hpp).
+  obs::AccessProfiler::instance().record_access(
+      profile_base, file_index,
+      {static_cast<obs::AccessOutcome>(prefix.fetched.outcome),
+       prefix.mirror() != nullptr, prefix.count * schema.record_size(),
+       prefix.fetch_us, bytes_used, filter_us, merge_us});
+}
+
+}  // namespace
+
 ReadStats ReadStats::max_over(const ReadStats& a, const ReadStats& b) {
   ReadStats m;
   m.files_opened = a.files_opened + b.files_opened;
@@ -63,7 +81,6 @@ ReadStats ReadStats::max_over(const ReadStats& a, const ReadStats& b) {
   m.files_skipped = a.files_skipped + b.files_skipped;
   m.lod_bytes_skipped = a.lod_bytes_skipped + b.lod_bytes_skipped;
   m.file_io_seconds = std::max(a.file_io_seconds, b.file_io_seconds);
-  m.exchange_seconds = std::max(a.exchange_seconds, b.exchange_seconds);
   return m;
 }
 
@@ -214,18 +231,6 @@ Dataset::FilePrefix Dataset::fetch_file_records(int file_index,
   return prefix;
 }
 
-void Dataset::record_access(int file_index, const FilePrefix& prefix,
-                            std::uint64_t bytes_used, std::uint64_t filter_us,
-                            std::uint64_t merge_us) const {
-  // The outcome enums share their values (obs/access_profile.hpp).
-  obs::AccessProfiler::instance().record_access(
-      profile_base_, file_index,
-      {static_cast<obs::AccessOutcome>(prefix.fetched.outcome),
-       prefix.mirror() != nullptr,
-       prefix.count * meta_.schema.record_size(), prefix.fetch_us,
-       bytes_used, filter_us, merge_us});
-}
-
 ParticleBuffer Dataset::read_data_file(int file_index, int levels,
                                        int n_readers,
                                        ReadStats* stats) const {
@@ -234,11 +239,11 @@ ParticleBuffer Dataset::read_data_file(int file_index, int levels,
       file_index, level_prefix_count(file_index, levels, n_readers), &rs);
   rs.particles_returned = prefix.count;
   // A direct file read keeps every scanned record: used == scanned.
-  record_access(file_index, prefix,
+  record_access(profile_base_, meta_.schema, file_index, prefix,
                 prefix.count * meta_.schema.record_size());
   ParticleBuffer buf(meta_.schema);
   buf.adopt_bytes(prefix.fetched.take_or_copy());
-  read_detail::publish_read_stats(rs, meta_.schema.record_size());
+  publish_read_stats(rs, meta_.schema.record_size());
   if (stats) stats->accumulate(rs);
   return buf;
 }
@@ -281,7 +286,8 @@ std::uint64_t Dataset::execute_plan(const QueryPlan& plan, const Box3& box,
     // consumes still count (they were fetched and filtered).
     const std::uint64_t us =
         timed ? static_cast<std::uint64_t>(seconds_since(t0) * 1e6) : 0;
-    record_access(p.file, prefix, c.buf.size() * meta_.schema.record_size(),
+    record_access(profile_base_, meta_.schema, p.file, prefix,
+                  c.buf.size() * meta_.schema.record_size(),
                   /*filter_us=*/merged ? 0 : us,
                   /*merge_us=*/merged ? us : 0);
   };
@@ -339,7 +345,7 @@ std::uint64_t Dataset::execute_plan(const QueryPlan& plan, const Box3& box,
     inflight.pop_front();
   }
   acc.particles_returned = delivered;
-  read_detail::publish_read_stats(acc, meta_.schema.record_size());
+  publish_read_stats(acc, meta_.schema.record_size());
   if (stats) stats->accumulate(acc);
   if (failure) std::rethrow_exception(failure);
   return delivered;
@@ -426,12 +432,6 @@ ParticleBuffer Dataset::query_box_scan_all(const Box3& box,
 
 int Dataset::level_count(int n_readers) const {
   return lod_level_count(meta_.lod, n_readers, meta_.total_particles);
-}
-
-Box3 reader_tile(const Box3& domain, int rank, int nranks) {
-  SPIO_EXPECTS(nranks >= 1);
-  SPIO_EXPECTS(rank >= 0 && rank < nranks);
-  return PatchDecomposition::for_ranks(domain, nranks).patch(rank);
 }
 
 }  // namespace spio

@@ -61,8 +61,6 @@ struct ReadStats {
 
   /// Wall time spent inside data-file reads on this rank.
   double file_io_seconds = 0;
-  /// Wall time of the redistribution exchange (`distributed_read` only).
-  double exchange_seconds = 0;
 
   /// Read amplification: particles fetched from disk per particle
   /// actually returned (1.0 = perfect locality; equals the byte ratio
@@ -84,7 +82,6 @@ struct ReadStats {
     files_skipped += o.files_skipped;
     lod_bytes_skipped += o.lod_bytes_skipped;
     file_io_seconds += o.file_io_seconds;
-    exchange_seconds += o.exchange_seconds;
   }
 
   /// Element-wise max of times, sum of volumes; the job-level view
@@ -137,18 +134,9 @@ class Dataset {
   /// file_io_seconds) — never `particles_returned`, so callers never
   /// have to un-count records they end up filtering out. Feeds neither
   /// the metrics registry nor the access profiler: the read entry point
-  /// does both once it is done with the file (`record_access`,
-  /// `read_detail::publish_read_stats`).
+  /// does both once it is done with the file.
   FilePrefix fetch_file_records(int file_index, std::uint64_t records,
                                 ReadStats* stats) const;
-
-  /// The one access-profiler record of one file of a read: the fetch in
-  /// `prefix` plus the `bytes_used` that survived the caller's filter
-  /// (filter/merge µs feed the detailed per-query breakdown; 0 when not
-  /// measured). Attributed to the file's bbox slot registered at open.
-  void record_access(int file_index, const FilePrefix& prefix,
-                     std::uint64_t bytes_used, std::uint64_t filter_us = 0,
-                     std::uint64_t merge_us = 0) const;
 
   /// Spatial box query via the metadata (§4): reads only the files whose
   /// bounds intersect `box`, filters particles of partially-covered files,
@@ -211,8 +199,8 @@ class Dataset {
                            int levels = -1, int n_readers = 1) const;
 
   /// The k-d tree over this dataset's partition boxes (null when the
-  /// dataset has no spatial metadata). `distributed_read` and the kNN
-  /// search drive their own traversals with it.
+  /// dataset has no spatial metadata). The kNN search drives its own
+  /// traversal with it.
   const std::shared_ptr<const BoxKdTree>& spatial_tree() const {
     return meta_.spatial_tree;
   }
@@ -247,10 +235,9 @@ class Dataset {
   /// `whole_file_fast_path` enables the contains_box shortcut (spatial
   /// queries only; attribute queries and the scan-all baseline always
   /// filter). Every file's stats, the plan's skip counts and the
-  /// delivered count sum into one `ReadStats`, which is published
-  /// (`read_detail::publish_read_stats`) and added to `*stats` on every
-  /// exit, failed and stopped queries included. Returns particles
-  /// delivered.
+  /// delivered count sum into one `ReadStats`, which is published to the
+  /// `reader.*` metrics and added to `*stats` on every exit, failed and
+  /// stopped queries included. Returns particles delivered.
   std::uint64_t execute_plan(const QueryPlan& plan, const Box3& box,
                              std::span<const RangeFilter> filters,
                              bool whole_file_fast_path, const ChunkSink& sink,
@@ -272,18 +259,5 @@ class Dataset {
   /// slot = base + file index, -1 when the slot table had no room.
   int profile_base_ = -1;
 };
-
-/// The tile of the domain assigned to reader `rank` of `nranks` — the
-/// distributed-rendering read pattern: disjoint tiles covering the domain.
-Box3 reader_tile(const Box3& domain, int rank, int nranks);
-
-namespace read_detail {
-/// Mirror one finished read operation's `ReadStats` into the `reader.*`
-/// counters (docs/OBSERVABILITY.md) under `obs::stats_enabled()`, and
-/// set the `reader.read_amplification` gauge to the cumulative particles
-/// scanned per particle returned. Each read entry point calls it once,
-/// so the registry equals the sum of the stats its callers received.
-void publish_read_stats(const ReadStats& s, std::uint64_t record_size);
-}  // namespace read_detail
 
 }  // namespace spio

@@ -42,8 +42,8 @@
 ///     `bytes_fetched` matches an instrumented `ReadEngine::FetchHook`
 ///     byte-for-byte.
 ///   - `bytes_used`     — records surviving the query's filter times the
-///     record size (for whole-file fast paths and owner binning: the
-///     whole prefix).
+///     record size (for whole-file fast paths and direct file reads:
+///     the whole prefix).
 /// Read amplification falls out per file and per query as
 /// `bytes_fetched / bytes_used` (disk amplification; 0 for fully-warm
 /// traffic) and `bytes_scanned / bytes_used` (scan amplification, the

@@ -7,7 +7,7 @@
 /// Naming scheme (`<subsystem>.<what>`, see docs/OBSERVABILITY.md):
 ///   writer.*    — the two-phase write pipeline (writer.bytes_sent,
 ///                 writer.bytes_written, writer.files_written, ...)
-///   reader.*    — Dataset queries and distributed reads
+///   reader.*    — Dataset queries and direct file reads
 ///                 (reader.files_opened, reader.bytes_read,
 ///                 reader.read_amplification, ...)
 ///   simmpi.*    — transport (simmpi.msg_count, simmpi.bytes_sent,

@@ -4,8 +4,8 @@
 /// Automatic fault postmortems (docs/OBSERVABILITY.md).
 ///
 /// On any failure path — a `checked_write_file` retry budget exhausted,
-/// a reliable-exchange without an ACK, an injected phase death, a
-/// distributed read hitting an incomplete dataset, or a fatal signal —
+/// a reliable-exchange without an ACK, an injected phase death, or a
+/// fatal signal —
 /// the failing layer dumps a `postmortem.spio.json` bundle next to the
 /// dataset:
 ///

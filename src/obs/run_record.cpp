@@ -122,51 +122,6 @@ void save_write_record(const std::filesystem::path& dataset_dir,
   save(dataset_dir, doc);
 }
 
-void save_read_record(const std::filesystem::path& dataset_dir,
-                      const ReadRunInfo& info,
-                      const MetricsRegistry::Snapshot& metrics) {
-  // Preserve the writer's section when one exists; a malformed existing
-  // record is replaced rather than propagated.
-  JsonValue doc = fresh_document();
-  if (run_record_present(dataset_dir)) {
-    try {
-      doc = load_run_record(dataset_dir);
-    } catch (const Error&) {
-      doc = fresh_document();
-    }
-  }
-
-  JsonValue r = JsonValue::object();
-  r.set("ranks", JsonValue::number(std::int64_t{info.ranks}));
-  r.set("levels", JsonValue::number(std::int64_t{info.levels}));
-
-  JsonValue phases = JsonValue::array();
-  for (const ReadPhaseSeconds& p : info.phases) {
-    JsonValue row = JsonValue::object();
-    row.set("rank", JsonValue::number(std::int64_t{p.rank}));
-    row.set("file_io", JsonValue::number(p.file_io));
-    row.set("exchange", JsonValue::number(p.exchange));
-    phases.push_back(std::move(row));
-  }
-  r.set("phase_seconds", std::move(phases));
-
-  JsonValue totals = JsonValue::object();
-  totals.set("files_opened", JsonValue::number(info.totals.files_opened));
-  totals.set("bytes_read", JsonValue::number(info.totals.bytes_read));
-  totals.set("particles_scanned",
-             JsonValue::number(info.totals.particles_scanned));
-  totals.set("particles_returned",
-             JsonValue::number(info.totals.particles_returned));
-  totals.set("read_amplification",
-             JsonValue::number(info.totals.read_amplification));
-  r.set("totals", std::move(totals));
-
-  r.set("counters", metrics_to_json(metrics));
-
-  doc.set("read", std::move(r));
-  save(dataset_dir, doc);
-}
-
 bool run_record_present(const std::filesystem::path& dataset_dir) {
   std::error_code ec;
   return std::filesystem::exists(record_path(dataset_dir), ec);

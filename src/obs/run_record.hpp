@@ -2,12 +2,11 @@
 
 /// \file run_record.hpp
 /// Darshan-style per-run record: `trace.spio.json`, written next to a
-/// dataset by the writer (and extended in place by the reader) so the
-/// dataset is self-describing — configuration, per-rank per-phase
-/// seconds, and a counter dump survive after the job is gone.
+/// dataset by the writer so the dataset is self-describing —
+/// configuration, per-rank per-phase seconds, and a counter dump survive
+/// after the job is gone.
 ///
-/// Layout (one JSON object; sections appear as the pipeline produces
-/// them):
+/// Layout (one JSON object):
 ///
 ///   {
 ///     "format": "spio.run_record", "version": 1,
@@ -18,8 +17,7 @@
 ///       "totals": {"bytes_written": ..., ...},
 ///       "counters": {"writer.bytes_written": ..., ...},
 ///       "environment": {"threads_as_ranks": true, ...}
-///     },
-///     "read": { ... symmetric, io/exchange phases ... }
+///     }
 ///   }
 ///
 /// Emission is gated on `obs::run_records_enabled()` so default runs
@@ -77,38 +75,11 @@ struct WriteRunInfo {
   } load_balance;
 };
 
-/// One rank's distributed-read phase seconds (mirrors `ReadStats`).
-struct ReadPhaseSeconds {
-  int rank = 0;
-  double file_io = 0;
-  double exchange = 0;
-};
-
-/// The reader's contribution to the record.
-struct ReadRunInfo {
-  int ranks = 0;
-  int levels = -1;
-  std::vector<ReadPhaseSeconds> phases;
-  struct Totals {
-    std::uint64_t files_opened = 0;
-    std::uint64_t bytes_read = 0;
-    std::uint64_t particles_scanned = 0;
-    std::uint64_t particles_returned = 0;
-    double read_amplification = 0;
-  } totals;
-};
-
 /// Write (or overwrite) the record's `write` section, replacing any
 /// existing record — a rewrite of the dataset restarts its history.
 void save_write_record(const std::filesystem::path& dataset_dir,
                        const WriteRunInfo& info,
                        const MetricsRegistry::Snapshot& metrics);
-
-/// Merge the `read` section into an existing record (or create a fresh
-/// record holding only the read section when the writer left none).
-void save_read_record(const std::filesystem::path& dataset_dir,
-                      const ReadRunInfo& info,
-                      const MetricsRegistry::Snapshot& metrics);
 
 /// True when `dataset_dir` holds a run record.
 bool run_record_present(const std::filesystem::path& dataset_dir);

@@ -55,22 +55,4 @@ bool filter_box_ranges(const PositionMirror& mirror,
   return true;
 }
 
-bool bin_by_owner(const PositionMirror& mirror,
-                  std::span<const std::byte> bytes, std::size_t record_size,
-                  const PatchDecomposition& decomp,
-                  std::vector<ParticleBuffer>& outgoing) {
-  const Level level = active_level();
-  if (level == Level::kScalar || !mirror_matches(mirror, bytes, record_size) ||
-      outgoing.size() != static_cast<std::size_t>(decomp.rank_count()))
-    return false;
-  if (level == Level::kAVX2) {
-    detail::bin_by_owner_avx2(mirror, bytes.data(), record_size, decomp,
-                              outgoing);
-  } else {
-    detail::bin_by_owner_sse2(mirror, bytes.data(), record_size, decomp,
-                              outgoing);
-  }
-  return true;
-}
-
 }  // namespace spio::simd

@@ -22,20 +22,15 @@
 /// Comparison semantics are pinned to the scalar kernels exactly:
 /// ordered-quiet SIMD compares, so NaN coordinates match no box (as with
 /// scalar `>=`/`<`), range predicates pass NaN attribute values (scalar
-/// `!(v < lo || v > hi)`), and owner binning reproduces
-/// `PatchDecomposition::cell_of`'s sub/div/mul/floor/clamp sequence
-/// operation for operation (IEEE ops are deterministic, so the lanes are
-/// bit-identical to the scalar loop).
+/// `!(v < lo || v > hi)`).
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "simd/position_mirror.hpp"
 #include "simd/simd_level.hpp"
 #include "util/box.hpp"
-#include "workload/decomposition.hpp"
 #include "workload/particle_buffer.hpp"
 
 namespace spio::simd {
@@ -67,15 +62,5 @@ bool filter_box_ranges(const PositionMirror& mirror,
                        std::size_t record_size, const Box3& box,
                        std::span<const RangePred> preds, ParticleBuffer& out,
                        std::uint64_t* kept);
-
-/// SIMD `bin_by_owner`: vectorized point location (sub/div/mul/floor/
-/// clamp per lane, exactly `cell_of`) into per-chunk owner arrays,
-/// folded into owner runs and appended with the fused kernel's two-pass
-/// reserve+memcpy. `outgoing.size()` must equal `decomp.rank_count()`.
-/// Same try contract as `filter_box`.
-bool bin_by_owner(const PositionMirror& mirror,
-                  std::span<const std::byte> bytes, std::size_t record_size,
-                  const PatchDecomposition& decomp,
-                  std::vector<ParticleBuffer>& outgoing);
 
 }  // namespace spio::simd

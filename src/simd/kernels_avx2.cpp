@@ -31,17 +31,6 @@ struct TraitsAVX2 {
   static unsigned movemask(Reg m) {
     return static_cast<unsigned>(_mm256_movemask_pd(m));
   }
-  static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
-  static Reg sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
-  static Reg div(Reg a, Reg b) { return _mm256_div_pd(a, b); }
-  static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
-  static Reg floor_(Reg a) { return _mm256_floor_pd(a); }
-  static Reg max_(Reg a, Reg b) { return _mm256_max_pd(a, b); }  // NaN -> b
-  static Reg min_(Reg a, Reg b) { return _mm256_min_pd(a, b); }  // NaN -> b
-  static void to_int32(Reg a, std::int32_t* out) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                     _mm256_cvttpd_epi32(a));
-  }
 };
 
 }  // namespace
@@ -59,13 +48,6 @@ std::uint64_t filter_box_ranges_avx2(const PositionMirror& mirror,
                                      ParticleBuffer& out) {
   return filter_box_ranges_body<TraitsAVX2>(mirror, base, record_size, box,
                                             preds, npreds, out);
-}
-
-void bin_by_owner_avx2(const PositionMirror& mirror, const std::byte* base,
-                       std::size_t record_size,
-                       const PatchDecomposition& decomp,
-                       std::vector<ParticleBuffer>& outgoing) {
-  bin_by_owner_body<TraitsAVX2>(mirror, base, record_size, decomp, outgoing);
 }
 
 }  // namespace detail
@@ -91,12 +73,6 @@ std::uint64_t filter_box_ranges_avx2(const PositionMirror&, const std::byte*,
                                      std::size_t, const Box3&,
                                      const RangePred*, std::size_t,
                                      ParticleBuffer&) {
-  std::abort();
-}
-
-void bin_by_owner_avx2(const PositionMirror&, const std::byte*, std::size_t,
-                       const PatchDecomposition&,
-                       std::vector<ParticleBuffer>&) {
   std::abort();
 }
 

@@ -10,12 +10,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "simd/kernels.hpp"
 #include "simd/position_mirror.hpp"
 #include "util/box.hpp"
-#include "workload/decomposition.hpp"
 #include "workload/particle_buffer.hpp"
 
 namespace spio::simd {
@@ -43,15 +41,6 @@ std::uint64_t filter_box_ranges_avx2(const PositionMirror& mirror,
                                      std::size_t record_size, const Box3& box,
                                      const RangePred* preds, std::size_t npreds,
                                      ParticleBuffer& out);
-
-void bin_by_owner_sse2(const PositionMirror& mirror, const std::byte* base,
-                       std::size_t record_size,
-                       const PatchDecomposition& decomp,
-                       std::vector<ParticleBuffer>& outgoing);
-void bin_by_owner_avx2(const PositionMirror& mirror, const std::byte* base,
-                       std::size_t record_size,
-                       const PatchDecomposition& decomp,
-                       std::vector<ParticleBuffer>& outgoing);
 
 }  // namespace detail
 }  // namespace spio::simd

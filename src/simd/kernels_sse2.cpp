@@ -15,8 +15,6 @@
 
 #include <emmintrin.h>
 
-#include <cmath>
-
 #include "simd/kernels_x86_body.hpp"
 
 namespace spio::simd {
@@ -37,24 +35,6 @@ struct TraitsSSE2 {
   static unsigned movemask(Reg m) {
     return static_cast<unsigned>(_mm_movemask_pd(m));
   }
-  static Reg add(Reg a, Reg b) { return _mm_add_pd(a, b); }
-  static Reg sub(Reg a, Reg b) { return _mm_sub_pd(a, b); }
-  static Reg div(Reg a, Reg b) { return _mm_div_pd(a, b); }
-  static Reg mul(Reg a, Reg b) { return _mm_mul_pd(a, b); }
-  // Packed floor is SSE4.1 (ROUNDPD); per-lane std::floor keeps this TU
-  // at the baseline ISA and is bit-identical by definition.
-  static Reg floor_(Reg a) {
-    alignas(16) double t[2];
-    _mm_store_pd(t, a);
-    t[0] = std::floor(t[0]);
-    t[1] = std::floor(t[1]);
-    return _mm_load_pd(t);
-  }
-  static Reg max_(Reg a, Reg b) { return _mm_max_pd(a, b); }  // NaN -> b
-  static Reg min_(Reg a, Reg b) { return _mm_min_pd(a, b); }  // NaN -> b
-  static void to_int32(Reg a, std::int32_t* out) {
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out), _mm_cvttpd_epi32(a));
-  }
 };
 
 }  // namespace
@@ -72,13 +52,6 @@ std::uint64_t filter_box_ranges_sse2(const PositionMirror& mirror,
                                      ParticleBuffer& out) {
   return filter_box_ranges_body<TraitsSSE2>(mirror, base, record_size, box,
                                             preds, npreds, out);
-}
-
-void bin_by_owner_sse2(const PositionMirror& mirror, const std::byte* base,
-                       std::size_t record_size,
-                       const PatchDecomposition& decomp,
-                       std::vector<ParticleBuffer>& outgoing) {
-  bin_by_owner_body<TraitsSSE2>(mirror, base, record_size, decomp, outgoing);
 }
 
 }  // namespace detail
@@ -103,12 +76,6 @@ std::uint64_t filter_box_ranges_sse2(const PositionMirror&, const std::byte*,
                                      std::size_t, const Box3&,
                                      const RangePred*, std::size_t,
                                      ParticleBuffer&) {
-  std::abort();
-}
-
-void bin_by_owner_sse2(const PositionMirror&, const std::byte*, std::size_t,
-                       const PatchDecomposition&,
-                       std::vector<ParticleBuffer>&) {
   std::abort();
 }
 

@@ -16,24 +16,12 @@
 ///   static Reg cmp_lt(Reg, Reg);               // ordered: NaN -> false
 ///   static Reg and_(Reg, Reg);
 ///   static unsigned movemask(Reg);             // sign bit per lane
-///   static Reg add(Reg, Reg);
-///   static Reg sub(Reg, Reg);
-///   static Reg div(Reg, Reg);                  // true IEEE divide
-///   static Reg mul(Reg, Reg);
-///   static Reg floor_(Reg);
-///   static Reg max_(Reg a, Reg b);             // NaN in a -> b (MAXPD)
-///   static Reg min_(Reg a, Reg b);             // NaN in a -> b (MINPD)
-///   static void to_int32(Reg, std::int32_t*);  // truncating, pre-clamped
 ///
-/// Byte-identity with the fused scalar kernels rests on two facts used
-/// throughout: every compare is ordered (NaN fails, matching scalar
-/// `>=`/`<`), and the arithmetic sequences are the scalar ones
-/// operation for operation (sub, divide — never a reciprocal multiply —
-/// mul, floor, clamp), so IEEE determinism makes each lane bit-equal to
-/// the scalar loop. Matching records are then copied from the very same
-/// AoS bytes with the same run-closure `append_records` calls.
+/// Byte-identity with the fused scalar kernels rests on every compare
+/// being ordered (NaN fails, matching scalar `>=`/`<`). Matching records
+/// are then copied from the very same AoS bytes with the same
+/// run-closure `append_records` calls.
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -42,7 +30,6 @@
 #include "simd/kernels.hpp"
 #include "simd/position_mirror.hpp"
 #include "util/box.hpp"
-#include "workload/decomposition.hpp"
 #include "workload/particle_buffer.hpp"
 
 namespace spio::simd::detail {
@@ -212,106 +199,6 @@ std::uint64_t filter_box_ranges_body(const PositionMirror& mirror,
   const std::uint64_t kept = runs.finish(n);
   runs.flush(base, record_size, out);
   return kept;
-}
-
-template <class T>
-void bin_by_owner_body(const PositionMirror& mirror, const std::byte* base,
-                       std::size_t record_size,
-                       const PatchDecomposition& decomp,
-                       std::vector<ParticleBuffer>& outgoing) {
-  constexpr std::size_t W = T::kLanes;
-  // Owners for one chunk of records, computed vector-wide, then folded
-  // into runs scalar-side. A multiple of the widest lane count so every
-  // vector store stays inside the chunk buffer.
-  constexpr std::size_t kChunk = 1024;
-  static_assert(kChunk % 8 == 0);
-
-  const std::size_t n = mirror.size();
-  const double* xs = mirror.x();
-  const double* ys = mirror.y();
-  const double* zs = mirror.z();
-
-  // Exactly cell_of + rank_of, vectorized. rel = (p - lo) / size, then
-  // floor(rel * grid), clamped into [0, grid-1] in the double domain
-  // (max_ with the NaN operand first maps NaN to 0, the same value the
-  // scalar std::max(0.0, t) produces). The rank combine
-  // cx + gx*(cy + gy*cz) runs in doubles: every operand is an integer
-  // below 2^31 and every intermediate below rank_count() <= INT_MAX, so
-  // the arithmetic is exact and one truncating convert yields the rank.
-  const Box3& dom = decomp.domain();
-  const Vec3d dsize = dom.size();
-  const Vec3i& grid = decomp.grid();
-  const typename T::Reg lo_x = T::set1(dom.lo.x), lo_y = T::set1(dom.lo.y),
-                        lo_z = T::set1(dom.lo.z);
-  const typename T::Reg sz_x = T::set1(dsize.x), sz_y = T::set1(dsize.y),
-                        sz_z = T::set1(dsize.z);
-  const typename T::Reg g_x = T::set1(static_cast<double>(grid.x)),
-                        g_y = T::set1(static_cast<double>(grid.y)),
-                        g_z = T::set1(static_cast<double>(grid.z));
-  const typename T::Reg gm1_x = T::set1(static_cast<double>(grid.x - 1)),
-                        gm1_y = T::set1(static_cast<double>(grid.y - 1)),
-                        gm1_z = T::set1(static_cast<double>(grid.z - 1));
-  const typename T::Reg zero = T::set1(0.0);
-
-  const auto axis_cell = [&](const double* lanes, std::size_t i,
-                             typename T::Reg lo, typename T::Reg sz,
-                             typename T::Reg g, typename T::Reg gm1) {
-    typename T::Reg t = T::div(T::sub(T::load(lanes + i), lo), sz);
-    t = T::floor_(T::mul(t, g));
-    return T::min_(T::max_(t, zero), gm1);
-  };
-
-  struct OwnerRun {
-    std::size_t start;
-    std::size_t len;
-    int owner;
-  };
-  std::vector<OwnerRun> runs;
-  std::vector<std::size_t> totals(outgoing.size(), 0);
-  int cur_owner = -1;
-  std::size_t run_start = 0;
-  const auto close_run = [&](std::size_t end) {
-    if (cur_owner >= 0 && end > run_start) {
-      runs.push_back({run_start, end - run_start, cur_owner});
-      totals[static_cast<std::size_t>(cur_owner)] += end - run_start;
-    }
-  };
-
-  std::int32_t owners[kChunk];
-  for (std::size_t chunk = 0; chunk < n; chunk += kChunk) {
-    const std::size_t cn = std::min(kChunk, n - chunk);
-    // Vector loop may overrun cn up to the next lane multiple — those
-    // lanes read NaN padding (owner 0 after the clamp) and are never
-    // consumed by the fold below.
-    for (std::size_t j = 0; j < cn; j += W) {
-      const typename T::Reg cx =
-          axis_cell(xs, chunk + j, lo_x, sz_x, g_x, gm1_x);
-      const typename T::Reg cy =
-          axis_cell(ys, chunk + j, lo_y, sz_y, g_y, gm1_y);
-      const typename T::Reg cz =
-          axis_cell(zs, chunk + j, lo_z, sz_z, g_z, gm1_z);
-      const typename T::Reg owner =
-          T::add(cx, T::mul(g_x, T::add(cy, T::mul(g_y, cz))));
-      T::to_int32(owner, owners + j);
-    }
-    for (std::size_t j = 0; j < cn; ++j) {
-      const int owner = owners[j];
-      if (owner != cur_owner) {
-        close_run(chunk + j);
-        cur_owner = owner;
-        run_start = chunk + j;
-      }
-    }
-  }
-  close_run(n);
-
-  // Two-pass append, identical to the fused scalar kernel: exact
-  // reserves, then one memcpy per run.
-  for (std::size_t o = 0; o < outgoing.size(); ++o)
-    if (totals[o] > 0) outgoing[o].reserve(outgoing[o].size() + totals[o]);
-  for (const OwnerRun& r : runs)
-    outgoing[static_cast<std::size_t>(r.owner)].append_records(
-        base + r.start * record_size, r.len);
 }
 
 }  // namespace spio::simd::detail

@@ -16,8 +16,8 @@
 /// What dispatches on the level:
 ///
 ///   * the read kernels (simd/kernels.hpp: `filter_box`,
-///     `filter_box_ranges`, `bin_by_owner`) pick the AVX2 or SSE2 TU,
-///     or return false below SSE2;
+///     `filter_box_ranges`) pick the AVX2 or SSE2 TU, or return false
+///     below SSE2;
 ///   * CRC-64 (util/checksum.hpp) takes its PCLMULQDQ fold at SSE2 and
 ///     above when the CPU has PCLMULQDQ, and slicing-by-16 otherwise.
 ///

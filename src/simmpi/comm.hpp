@@ -16,12 +16,12 @@
 ///   allgatherv             -> MPI_Allgatherv
 ///   reduce / allreduce     -> MPI_Reduce / MPI_Allreduce
 ///   exscan                 -> MPI_Exscan
-///   alltoall / alltoallv   -> MPI_Alltoall / MPI_Alltoallv
 ///   split                  -> MPI_Comm_split
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -34,7 +34,6 @@
 #include "simmpi/mailbox.hpp"
 #include "simmpi/message.hpp"
 #include "util/error.hpp"
-#include "util/serialize.hpp"
 
 namespace simmpi {
 
@@ -337,42 +336,6 @@ class Comm {
     collective(to_bytes(value), [&](const auto& all) {
       for (int i = 0; i < rank_; ++i)
         result = op(result, from_bytes<T>(all[static_cast<std::size_t>(i)]));
-    });
-    return result;
-  }
-
-  /// Personalized all-to-all of variable-length typed buffers.
-  /// `send_to[d]` is this rank's data for rank d (size() entries); returns
-  /// `recv_from[s]`, the data rank s sent to this rank.
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(
-      const std::vector<std::vector<T>>& send_to) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    SPIO_EXPECTS(static_cast<int>(send_to.size()) == size());
-    // Contribution layout: per destination, u64 byte count, then payloads.
-    spio::BinaryWriter w;
-    for (const auto& v : send_to) {
-      w.write<std::uint64_t>(v.size() * sizeof(T));
-    }
-    for (const auto& v : send_to) {
-      w.write_span<T>(std::span<const T>(v.data(), v.size()));
-    }
-    std::vector<std::vector<T>> result(static_cast<std::size_t>(size()));
-    collective(w.take(), [&](const auto& all) {
-      for (std::size_t src = 0; src < all.size(); ++src) {
-        spio::BinaryReader r(all[src]);
-        std::vector<std::uint64_t> counts(static_cast<std::size_t>(size()));
-        std::uint64_t before = 0;
-        for (int d = 0; d < size(); ++d) {
-          counts[static_cast<std::size_t>(d)] = r.read<std::uint64_t>();
-          if (d < rank_) before += counts[static_cast<std::size_t>(d)];
-        }
-        const std::uint64_t mine = counts[static_cast<std::size_t>(rank_)];
-        // Skip to this rank's slice.
-        r.read_span<std::byte>(static_cast<std::size_t>(before));
-        result[src] =
-            r.read_span<T>(static_cast<std::size_t>(mine / sizeof(T)));
-      }
     });
     return result;
   }

@@ -118,8 +118,10 @@ TEST_F(ReadAmplification, DistributedRenderingFileCounts) {
   // opens exactly 1 file; with rank-order grouping a tile's particles are
   // spread over several files.
   const Dataset spio = Dataset::open(dirs_[0].path());
+  const PatchDecomposition tiles =
+      PatchDecomposition::for_ranks(spio.metadata().domain, 4);
   for (int r = 0; r < 4; ++r) {
-    const Box3 tile = reader_tile(spio.metadata().domain, r, 4);
+    const Box3 tile = tiles.patch(r);
     // Shrink slightly to avoid boundary-face overlaps.
     const Box3 inner = Box3(tile.lo + tile.size() * 0.01,
                             tile.hi - tile.size() * 0.01);

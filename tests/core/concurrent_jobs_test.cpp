@@ -78,7 +78,8 @@ TEST(ConcurrentJobs, ParallelReadersOfOneDataset) {
   for (int t = 0; t < 6; ++t) {
     readers.push_back(std::async(std::launch::async, [&, t] {
       const Dataset ds = Dataset::open(dir.path());
-      const Box3 tile = reader_tile(ds.metadata().domain, t % 3, 3);
+      const Box3 tile =
+          PatchDecomposition::for_ranks(ds.metadata().domain, 3).patch(t % 3);
       return static_cast<std::uint64_t>(ds.query_box(tile).size());
     }));
   }

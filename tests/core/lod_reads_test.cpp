@@ -169,12 +169,13 @@ TEST(LodReadsNoMeta, DatasetWithoutBoundsFallsBackToScan) {
 TEST(ReaderTile, TilesAreDisjointAndCoverDomain) {
   const Box3 domain({0, 0, 0}, {6, 4, 2});
   for (const int n : {1, 2, 4, 6, 8}) {
+    const PatchDecomposition tiles = PatchDecomposition::for_ranks(domain, n);
     double vol = 0;
     for (int r = 0; r < n; ++r) {
-      const Box3 t = reader_tile(domain, r, n);
+      const Box3 t = tiles.patch(r);
       vol += t.volume();
       for (int s = r + 1; s < n; ++s)
-        EXPECT_FALSE(t.overlaps(reader_tile(domain, s, n)));
+        EXPECT_FALSE(t.overlaps(tiles.patch(s)));
     }
     EXPECT_NEAR(vol, domain.volume(), 1e-9);
   }

@@ -212,15 +212,6 @@ TEST_F(PlannerSuite, KdTreeMatchesTheLinearIntersectionScan) {
   for (int iter = 0; iter < 1000; ++iter) {
     const RandomQuery q = random_query(rng, ds.metadata(), 1);
     EXPECT_EQ(tree->query(q.box), ds.metadata().files_intersecting(q.box));
-    // Closed variant against its own linear scan.
-    std::vector<int> closed;
-    for (int fi = 0; fi < ds.file_count(); ++fi) {
-      if (ds.metadata()
-              .files[static_cast<std::size_t>(fi)]
-              .bounds.overlaps_closed(q.box))
-        closed.push_back(fi);
-    }
-    EXPECT_EQ(tree->query_closed(q.box), closed);
   }
 }
 

@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "core/distributed_read.hpp"
 #include "core/read_engine.hpp"
 #include "core/reader.hpp"
+#include "core/restart.hpp"
 #include "core/writer.hpp"
 #include "simd/position_mirror.hpp"
 #include "simd/simd_level.hpp"
@@ -153,27 +153,6 @@ TEST(ReadKernels, FilterBoxRangesMatchesReferenceIncludingNaN) {
         read_detail::filter_box_ranges(buf.bytes(), schema, box, filters, opt);
     EXPECT_EQ(nref, nopt) << "round " << round;
     EXPECT_TRUE(same_bytes(ref.bytes(), opt.bytes())) << "round " << round;
-  }
-}
-
-TEST(ReadKernels, BinByOwnerMatchesReference) {
-  Xoshiro256 rng(403);
-  for (const int ranks : {1, 2, 5, 8}) {
-    const Schema schema = random_schema(rng);
-    const auto buf = workload::uniform(schema, Box3::unit(), 2000, rng.next(), 0);
-    const PatchDecomposition decomp =
-        PatchDecomposition::for_ranks(Box3::unit(), ranks);
-
-    std::vector<ParticleBuffer> ref(static_cast<std::size_t>(ranks),
-                                    ParticleBuffer(schema));
-    std::vector<ParticleBuffer> opt(static_cast<std::size_t>(ranks),
-                                    ParticleBuffer(schema));
-    read_detail::bin_by_owner_reference(buf.bytes(), schema, decomp, ref);
-    read_detail::bin_by_owner(buf.bytes(), schema, decomp, opt);
-    for (int r = 0; r < ranks; ++r)
-      EXPECT_TRUE(same_bytes(ref[static_cast<std::size_t>(r)].bytes(),
-                             opt[static_cast<std::size_t>(r)].bytes()))
-          << ranks << " ranks, bin " << r;
   }
 }
 
@@ -316,14 +295,17 @@ TEST_F(ReadEngineQueries, EveryEntryPointIsByteIdenticalAcrossConfigs) {
   }
 }
 
-TEST_F(ReadEngineQueries, DistributedReadIsByteIdenticalAcrossConfigs) {
+/// The paper's restart read at a different rank count is serial-
+/// equivalent: every reader's bytes are the same whatever the engine's
+/// pool size, cache budget and warmth.
+TEST_F(ReadEngineQueries, RestartReadIsByteIdenticalAcrossConfigs) {
   const PatchDecomposition decomp =
       PatchDecomposition::for_ranks(Box3::unit(), 4);
 
   const auto run_once = [&] {
     std::vector<std::vector<std::byte>> per_rank(4);
     simmpi::run(4, [&](simmpi::Comm& comm) {
-      ParticleBuffer mine = distributed_read(comm, decomp, dir_->path());
+      ParticleBuffer mine = restart_read(comm, decomp, dir_->path());
       per_rank[static_cast<std::size_t>(comm.rank())] = mine.take_bytes();
     });
     return per_rank;
@@ -334,14 +316,26 @@ TEST_F(ReadEngineQueries, DistributedReadIsByteIdenticalAcrossConfigs) {
     EngineConfig serial(1, 0);
     want = run_once();
   }
+  std::size_t total = 0;
+  for (const auto& bytes : want) {
+    EXPECT_FALSE(bytes.empty());
+    total += bytes.size();
+  }
+  EXPECT_EQ(total, Dataset::open(dir_->path()).metadata().total_particles *
+                       Schema::uintah().record_size());
   for (const int threads : {1, 4}) {
-    EngineConfig cfg(threads, 64ull << 20);
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto got = run_once();
-      for (int r = 0; r < 4; ++r)
-        EXPECT_TRUE(same_bytes(got[static_cast<std::size_t>(r)],
-                               want[static_cast<std::size_t>(r)]))
-            << "rank " << r << " threads=" << threads << " pass=" << pass;
+    for (const std::uint64_t budget :
+         {std::uint64_t{0}, std::uint64_t{64} << 20}) {
+      EngineConfig cfg(threads, budget);
+      ReadEngine::instance().clear_cache();
+      for (int pass = 0; pass < 2; ++pass) {  // pass 0 cold, pass 1 warm
+        const auto got = run_once();
+        for (int r = 0; r < 4; ++r)
+          EXPECT_TRUE(same_bytes(got[static_cast<std::size_t>(r)],
+                                 want[static_cast<std::size_t>(r)]))
+              << "rank " << r << " threads=" << threads
+              << " budget=" << budget << " pass=" << pass;
+      }
     }
   }
 }

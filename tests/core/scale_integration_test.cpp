@@ -3,8 +3,8 @@
 #include <atomic>
 #include <mutex>
 
-#include "core/distributed_read.hpp"
 #include "core/reader.hpp"
+#include "core/restart.hpp"
 #include "core/validate.hpp"
 #include "core/writer.hpp"
 #include "simmpi/runtime.hpp"
@@ -53,7 +53,7 @@ TEST(ScaleIntegration, HundredTwentyEightRanksEndToEnd) {
         PatchDecomposition::for_ranks(Box3({0, 0, 0}, {8, 4, 4}), readers);
     std::atomic<std::uint64_t> total{0};
     simmpi::run(readers, [&](simmpi::Comm& comm) {
-      total += distributed_read(comm, rdecomp, dir.path()).size();
+      total += restart_read(comm, rdecomp, dir.path()).size();
     });
     EXPECT_EQ(total.load(), kWriters * kPerRank) << readers << " readers";
   }

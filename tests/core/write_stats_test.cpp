@@ -83,7 +83,6 @@ TEST(ReadStats, MaxOverTakesSlowestTimesAndSumsVolumes) {
   a.cache_hits = 1;
   a.cache_misses = 2;
   a.file_io_seconds = 3.0;
-  a.exchange_seconds = 0.5;
   ReadStats b;
   b.files_opened = 3;
   b.bytes_read = 500;
@@ -92,7 +91,6 @@ TEST(ReadStats, MaxOverTakesSlowestTimesAndSumsVolumes) {
   b.cache_hits = 4;
   b.cache_misses = 8;
   b.file_io_seconds = 1.0;
-  b.exchange_seconds = 2.0;
 
   const ReadStats m = ReadStats::max_over(a, b);
   EXPECT_EQ(m.files_opened, 5);
@@ -102,7 +100,6 @@ TEST(ReadStats, MaxOverTakesSlowestTimesAndSumsVolumes) {
   EXPECT_EQ(m.cache_hits, 5u);
   EXPECT_EQ(m.cache_misses, 10u);
   EXPECT_DOUBLE_EQ(m.file_io_seconds, 3.0);
-  EXPECT_DOUBLE_EQ(m.exchange_seconds, 2.0);
 }
 
 TEST(ReadStats, AccumulateAddsEveryField) {
@@ -115,7 +112,6 @@ TEST(ReadStats, AccumulateAddsEveryField) {
   one.cache_hits = 3;
   one.cache_misses = 1;
   one.file_io_seconds = 0.25;
-  one.exchange_seconds = 0.125;
   acc.accumulate(one);
   acc.accumulate(one);
   EXPECT_EQ(acc.files_opened, 2);
@@ -125,7 +121,6 @@ TEST(ReadStats, AccumulateAddsEveryField) {
   EXPECT_EQ(acc.cache_hits, 6u);
   EXPECT_EQ(acc.cache_misses, 2u);
   EXPECT_DOUBLE_EQ(acc.file_io_seconds, 0.5);
-  EXPECT_DOUBLE_EQ(acc.exchange_seconds, 0.25);
 }
 
 TEST(ReadStats, ReadAmplificationIsScannedOverReturned) {

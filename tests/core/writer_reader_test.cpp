@@ -240,7 +240,8 @@ TEST(ParallelReads, DifferentReaderCountsSeeTheSameData) {
     simmpi::run(readers, [&](simmpi::Comm& comm) {
       const Dataset ds = Dataset::open(dir.path());
       const Box3 tile =
-          reader_tile(ds.metadata().domain, comm.rank(), comm.size());
+          PatchDecomposition::for_ranks(ds.metadata().domain, comm.size())
+              .patch(comm.rank());
       const ParticleBuffer mine = ds.query_box(tile);
       const auto ids = id_set(mine);
       std::lock_guard lk(mu);

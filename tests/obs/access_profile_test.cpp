@@ -23,10 +23,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/distributed_read.hpp"
 #include "core/query_service.hpp"
 #include "core/read_engine.hpp"
 #include "core/reader.hpp"
+#include "core/restart.hpp"
 #include "core/writer.hpp"
 #include "obs/access_profile.hpp"
 #include "obs/json.hpp"
@@ -307,7 +307,7 @@ TEST_F(AccessProfileTest, CoalescedServiceWaitersNeverDoubleCount) {
   EXPECT_LT(t.bytes_used, returned.load());
 }
 
-TEST_F(AccessProfileTest, DistributedReadChargesWholePrefixesAsUsed) {
+TEST_F(AccessProfileTest, RestartReadFetchedBytesMatchHookOracle) {
   auto& prof = obs::AccessProfiler::instance();
   EngineConfig cfg(4, 64ull << 20);
   reset_accounting();
@@ -315,18 +315,18 @@ TEST_F(AccessProfileTest, DistributedReadChargesWholePrefixesAsUsed) {
 
   const PatchDecomposition decomp =
       PatchDecomposition::for_ranks(Box3::unit(), 4);
-  std::atomic<std::uint64_t> particles{0};
+  std::atomic<std::uint64_t> bytes{0};
   simmpi::run(4, [&](simmpi::Comm& comm) {
-    particles += distributed_read(comm, decomp, dir_->path()).size();
+    bytes += restart_read(comm, decomp, dir_->path()).byte_size();
   });
-  ASSERT_EQ(particles.load(), kRanks * kPerRank);
+  ASSERT_EQ(bytes.load(), kRanks * kPerRank * Schema::uintah().record_size());
 
   const obs::AccessProfiler::Totals t = prof.totals();
   EXPECT_EQ(t.bytes_fetched, oracle.bytes());
-  // Owner binning delivers every scanned record to some rank: nothing
-  // is filtered away, so used == scanned.
-  EXPECT_EQ(t.bytes_used, t.bytes_scanned);
-  EXPECT_GT(t.bytes_used, 0u);
+  // The reader patches tile the domain, so every record is used by
+  // exactly one reader.
+  EXPECT_EQ(t.bytes_used, bytes.load());
+  EXPECT_GE(t.bytes_scanned, t.bytes_used);
 }
 
 // ---- detailed per-query records ----

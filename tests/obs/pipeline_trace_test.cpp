@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "core/distributed_read.hpp"
 #include "core/read_engine.hpp"
 #include "core/reader.hpp"
+#include "core/restart.hpp"
 #include "core/writer.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -199,51 +199,6 @@ TEST_F(PipelineTrace, QueryCountersMatchReadStatsExactly) {
   EXPECT_EQ(file_spans, static_cast<std::size_t>(rs.files_opened));
 }
 
-TEST_F(PipelineTrace, DistributedReadMergesReadSectionIntoRunRecord) {
-  TempDir dir("spio-pipeline");
-  const WriteStats job = write_dataset_traced(dir.path());
-
-  constexpr int kReaders = 4;
-  const PatchDecomposition decomp =
-      PatchDecomposition::for_ranks(Box3::unit(), kReaders);
-  ReadStats sum;
-  std::mutex mu;
-  simmpi::run(kReaders, [&](simmpi::Comm& comm) {
-    ReadStats rs;
-    distributed_read(comm, decomp, dir.path(), -1, &rs);
-    std::lock_guard lk(mu);
-    sum.accumulate(rs);
-  });
-  EXPECT_EQ(sum.particles_returned, kTotal);
-
-  const obs::JsonValue doc = obs::load_run_record(dir.path());
-  // The reader extends the record in place; the write section survives.
-  EXPECT_EQ(doc.at("write").at("totals").at("bytes_written").as_u64(),
-            job.bytes_written);
-  const obs::JsonValue& r = doc.at("read");
-  EXPECT_EQ(r.at("ranks").as_i64(), kReaders);
-  EXPECT_EQ(r.at("phase_seconds").size(),
-            static_cast<std::size_t>(kReaders));
-  EXPECT_EQ(r.at("totals").at("files_opened").as_u64(),
-            static_cast<std::uint64_t>(sum.files_opened));
-  EXPECT_EQ(r.at("totals").at("bytes_read").as_u64(), sum.bytes_read);
-  EXPECT_EQ(r.at("totals").at("particles_scanned").as_u64(),
-            sum.particles_scanned);
-  EXPECT_EQ(r.at("totals").at("particles_returned").as_u64(),
-            sum.particles_returned);
-  EXPECT_DOUBLE_EQ(r.at("totals").at("read_amplification").as_double(),
-                   static_cast<double>(sum.particles_scanned) /
-                       static_cast<double>(sum.particles_returned));
-
-  // Distributed-read umbrella + phase spans are on the trace.
-  const std::vector<SpanRec> spans = complete_spans();
-  std::set<std::string> names;
-  for (const SpanRec& s : spans) names.insert(s.name);
-  EXPECT_EQ(names.count("read.distributed"), 1u);
-  EXPECT_EQ(names.count("read.distributed.local_io"), 1u);
-  EXPECT_EQ(names.count("read.distributed.exchange"), 1u);
-}
-
 TEST_F(PipelineTrace, DisabledRunLeavesDatasetDirClean) {
   obs::disable();
   TempDir dir("spio-pipeline");
@@ -333,7 +288,9 @@ TEST_F(TelemetryReads, DirectFileReadCountersMatchReadStats) {
   expect_amplification_equal(rs);
 }
 
-TEST_F(TelemetryReads, DistributedReadCountersMatchReadStats) {
+/// Four restart readers publish `reader.*` at once; the counters still
+/// add up to the sum of the four `ReadStats`.
+TEST_F(TelemetryReads, ConcurrentRestartReadCountersMatchReadStats) {
   TempDir dir("spio-pipeline");
   write_cold(dir.path());
   constexpr int kReaders = 4;
@@ -343,7 +300,7 @@ TEST_F(TelemetryReads, DistributedReadCountersMatchReadStats) {
   std::mutex mu;
   simmpi::run(kReaders, [&](simmpi::Comm& comm) {
     ReadStats rs;
-    distributed_read(comm, decomp, dir.path(), -1, &rs);
+    restart_read(comm, decomp, dir.path(), &rs);
     std::lock_guard lk(mu);
     sum.accumulate(rs);
   });

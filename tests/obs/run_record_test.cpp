@@ -65,69 +65,6 @@ TEST(RunRecord, WriteRecordRoundTrips) {
   EXPECT_EQ(w.at("totals").at("bytes_written").as_u64(), 124000u);
   EXPECT_EQ(w.at("counters").at("writer.bytes_written").as_u64(), big);
   EXPECT_TRUE(w.at("environment").at("threads_as_ranks").as_bool());
-  EXPECT_FALSE(doc.contains("read"));
-}
-
-TEST(RunRecord, ReadRecordMergesIntoExistingWriteRecord) {
-  TempDir dir("spio-record");
-  MetricsRegistry reg;
-  save_write_record(dir.path(), sample_write_info(), reg.snapshot());
-
-  ReadRunInfo info;
-  info.ranks = 2;
-  info.levels = -1;
-  info.phases.push_back({0, 0.5, 0.25});
-  info.phases.push_back({1, 0.75, 0.125});
-  info.totals.files_opened = 2;
-  info.totals.bytes_read = 248000;
-  info.totals.particles_scanned = 2000;
-  info.totals.particles_returned = 1000;
-  info.totals.read_amplification = 2.0;
-  reg.counter("reader.bytes_read").add(248000);
-  save_read_record(dir.path(), info, reg.snapshot());
-
-  const JsonValue doc = load_run_record(dir.path());
-  // The writer's section survives the merge.
-  EXPECT_EQ(doc.at("write").at("ranks").as_i64(), 2);
-  EXPECT_EQ(doc.at("write").at("totals").at("files_written").as_u64(), 2u);
-  const JsonValue& r = doc.at("read");
-  EXPECT_EQ(r.at("ranks").as_i64(), 2);
-  EXPECT_EQ(r.at("levels").as_i64(), -1);
-  ASSERT_EQ(r.at("phase_seconds").size(), 2u);
-  EXPECT_DOUBLE_EQ(
-      r.at("phase_seconds").at(std::size_t{1}).at("exchange").as_double(),
-      0.125);
-  EXPECT_DOUBLE_EQ(r.at("totals").at("read_amplification").as_double(), 2.0);
-  EXPECT_EQ(r.at("counters").at("reader.bytes_read").as_u64(), 248000u);
-}
-
-TEST(RunRecord, ReadRecordAloneCreatesFreshDocument) {
-  TempDir dir("spio-record");
-  ReadRunInfo info;
-  info.ranks = 1;
-  MetricsRegistry reg;
-  save_read_record(dir.path(), info, reg.snapshot());
-
-  const JsonValue doc = load_run_record(dir.path());
-  EXPECT_EQ(doc.at("format").as_string(), "spio.run_record");
-  EXPECT_FALSE(doc.contains("write"));
-  EXPECT_EQ(doc.at("read").at("ranks").as_i64(), 1);
-}
-
-TEST(RunRecord, ReadRecordReplacesMalformedExistingRecord) {
-  TempDir dir("spio-record");
-  {
-    std::ofstream f(dir.path() / kRunRecordFile);
-    f << "{not json";
-  }
-  ASSERT_TRUE(run_record_present(dir.path()));
-
-  ReadRunInfo info;
-  info.ranks = 3;
-  MetricsRegistry reg;
-  save_read_record(dir.path(), info, reg.snapshot());
-  const JsonValue doc = load_run_record(dir.path());
-  EXPECT_EQ(doc.at("read").at("ranks").as_i64(), 3);
 }
 
 TEST(RunRecord, LoadRejectsForeignJson) {

@@ -3,12 +3,14 @@
 /// disabled path: an instrumentation site that is off must cost about
 /// one relaxed atomic load — nanoseconds, not microseconds — so spans
 /// can live on hot paths (per-message transport, per-file reads) without
-/// a recompile-time switch. The bar is generous for loaded CI boxes;
-/// a regression here means someone put work ahead of the enabled() gate.
+/// a recompile-time switch. Each floor times this thread's CPU, so time
+/// slicing on a loaded host does not count against it; a regression here
+/// means someone put work ahead of the enabled() gate.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <time.h>
+
 #include <functional>
 
 #include "obs/flight_recorder.hpp"
@@ -19,11 +21,19 @@
 namespace spio {
 namespace {
 
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Every floor below runs on this one thread, so its CPU time is the
+/// cost of the code under test.
 double seconds_of(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = thread_cpu_seconds();
   fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  return thread_cpu_seconds() - t0;
 }
 
 double best_seconds(int reps, const std::function<void()>& fn) {

@@ -111,12 +111,8 @@ TEST(ReadpathPerf, FusedFilterBoxSustainsTwoMillionParticlesPerSecond) {
 /// The SIMD floor on 1M Uintah-schema particles. The filter kernel is
 /// held to ≥2× over the fused scalar kernel on a scan-bound query (low
 /// selectivity, where the predicate — not the run copy — dominates;
-/// measured ~6×). Owner binning moves every record regardless of the
-/// box, so its ceiling is the memcpy: measured ~2.2–2.5× over fused on
-/// the 2026-08 reference container and 1.55–1.95× on a 4-vCPU AVX2 Xeon
-/// guest, floored at 1.5× so only a genuine re-pessimization trips it. The
-/// `*_reference` kernels are byte-identity oracles, not speed baselines,
-/// so no bar is held against them. Skipped — loudly — when
+/// measured ~6×). The `*_reference` kernels are byte-identity oracles,
+/// not speed baselines, so no bar is held against them. Skipped — loudly — when
 /// dispatch is scalar (non-x86 build or `SPIO_SIMD=off`): there is no
 /// SIMD path to hold to a floor.
 TEST(ReadpathPerf, SimdKernelsBeatFusedScalarFloors) {
@@ -154,27 +150,6 @@ TEST(ReadpathPerf, SimdKernelsBeatFusedScalarFloors) {
   EXPECT_GE(scalar_s, 2.0 * simd_s)
       << "simd filter_box (" << simd::level_name(simd::active_level())
       << ") only " << scalar_s / simd_s << "x over fused scalar";
-
-  const PatchDecomposition decomp =
-      PatchDecomposition::for_ranks(Box3::unit(), 8);
-  std::vector<ParticleBuffer> bins(8, ParticleBuffer(schema));
-  const auto clear_bins = [&] {
-    for (auto& b : bins) b.clear();
-  };
-  const auto [bin_scalar_s, bin_simd_s] = best_interleaved(
-      9,
-      [&] {
-        clear_bins();
-        read_detail::bin_by_owner(buf.bytes(), schema, decomp, bins);
-      },
-      [&] {
-        clear_bins();
-        ASSERT_TRUE(simd::bin_by_owner(*mirror, buf.bytes(),
-                                       schema.record_size(), decomp, bins));
-      });
-  EXPECT_GE(bin_scalar_s, 1.5 * bin_simd_s)
-      << "simd bin_by_owner (" << simd::level_name(simd::active_level())
-      << ") only " << bin_scalar_s / bin_simd_s << "x over fused scalar";
 }
 
 /// The k-d descent must plan at least 10× faster than the linear bbox

@@ -1,9 +1,9 @@
 /// \file simd_kernels_test.cpp
 /// The SIMD kernel engine's contract, pinned:
-///   1. `simd::filter_box` / `filter_box_ranges` / `bin_by_owner` are
-///      byte-identical to the scalar `*_reference` oracles at every
-///      compiled ISA level — including particles exactly on box faces,
-///      NaN and ±inf coordinates, and NaN attribute values,
+///   1. `simd::filter_box` / `filter_box_ranges` are byte-identical to
+///      the scalar `*_reference` oracles at every compiled ISA level —
+///      including particles exactly on box faces, NaN and ±inf
+///      coordinates, and NaN attribute values,
 ///   2. the `read_detail::*_dispatch` wrappers match the oracles whether
 ///      they take the SIMD path or the scalar fallback (so the whole
 ///      suite is meaningful under `SPIO_SIMD=off`, where every SIMD try
@@ -236,42 +236,6 @@ TEST(SimdKernels, FilterBoxRangesMatchesReferenceIncludingNaNAndEdges) {
   }
 }
 
-TEST(SimdKernels, BinByOwnerMatchesReferenceIncludingClampedPositions) {
-  Xoshiro256 rng(604);
-  for (const int ranks : {1, 2, 5, 8, 12}) {
-    const Schema schema = random_schema(rng);
-    auto buf = workload::uniform(schema, Box3::unit(), 2000, rng.next(), 0);
-    // Positions the point location must clamp identically: exactly on
-    // domain.hi (maps to the last patch), outside, NaN and ±inf (now
-    // well-defined: NaN clamps to cell 0).
-    const Vec3d specials[] = {{1.0, 1.0, 1.0}, {1.0, 0.5, 0.5},
-                              {-0.5, 0.5, 0.5}, {2.0, 0.5, 0.5},
-                              {kQNaN, 0.5, 0.5}, {kQNaN, kQNaN, kQNaN},
-                              {kInf, 0.5, 0.5},  {-kInf, 0.5, 0.5}};
-    for (std::size_t k = 0; k < std::size(specials); ++k)
-      buf.set_position(k, specials[k]);
-    const PatchDecomposition decomp =
-        PatchDecomposition::for_ranks(Box3::unit(), ranks);
-    const auto mirror = mirror_of(buf);
-
-    std::vector<ParticleBuffer> ref(static_cast<std::size_t>(ranks),
-                                    ParticleBuffer(schema));
-    read_detail::bin_by_owner_reference(buf.bytes(), schema, decomp, ref);
-
-    for (const simd::Level level : reachable_levels()) {
-      simd::ScopedLevelCap cap(level);
-      std::vector<ParticleBuffer> out(static_cast<std::size_t>(ranks),
-                                      ParticleBuffer(schema));
-      ASSERT_TRUE(simd::bin_by_owner(*mirror, buf.bytes(),
-                                     schema.record_size(), decomp, out));
-      for (int r = 0; r < ranks; ++r)
-        EXPECT_TRUE(same_bytes(ref[static_cast<std::size_t>(r)].bytes(),
-                               out[static_cast<std::size_t>(r)].bytes()))
-            << simd::level_name(level) << " ranks " << ranks << " bin " << r;
-    }
-  }
-}
-
 // ---- 2. dispatch wrappers ----------------------------------------------
 
 TEST(SimdDispatch, DispatchMatchesReferenceWithAndWithoutMirror) {
@@ -295,20 +259,6 @@ TEST(SimdDispatch, DispatchMatchesReferenceWithAndWithoutMirror) {
     EXPECT_EQ(n, nref);
     EXPECT_TRUE(same_bytes(ref.bytes(), out.bytes()))
         << (m ? "mirror" : "fallback");
-  }
-
-  const PatchDecomposition decomp =
-      PatchDecomposition::for_ranks(Box3::unit(), 6);
-  std::vector<ParticleBuffer> bref(6, ParticleBuffer(schema));
-  read_detail::bin_by_owner_reference(buf.bytes(), schema, decomp, bref);
-  for (const PositionMirror* m : {mirror.get(),
-                                  static_cast<const PositionMirror*>(nullptr)}) {
-    std::vector<ParticleBuffer> bout(6, ParticleBuffer(schema));
-    read_detail::bin_by_owner_dispatch(buf.bytes(), schema, decomp, m, bout);
-    for (int r = 0; r < 6; ++r)
-      EXPECT_TRUE(same_bytes(bref[static_cast<std::size_t>(r)].bytes(),
-                             bout[static_cast<std::size_t>(r)].bytes()))
-          << (m ? "mirror" : "fallback") << " bin " << r;
   }
 }
 

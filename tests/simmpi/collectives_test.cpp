@@ -162,35 +162,6 @@ TEST(Collectives, ScanAndExscanRelate) {
   });
 }
 
-TEST(Collectives, AlltoallvPersonalizedExchange) {
-  constexpr int kRanks = 6;
-  run(kRanks, [](Comm& comm) {
-    // Rank s sends to rank d a vector of (d - s) mod n elements with value
-    // s * 100 + d.
-    std::vector<std::vector<int>> send_to(kRanks);
-    for (int d = 0; d < kRanks; ++d) {
-      const int len = (d - comm.rank() + kRanks) % kRanks;
-      send_to[d].assign(static_cast<std::size_t>(len),
-                        comm.rank() * 100 + d);
-    }
-    const auto recv_from = comm.alltoallv(send_to);
-    ASSERT_EQ(recv_from.size(), static_cast<std::size_t>(kRanks));
-    for (int s = 0; s < kRanks; ++s) {
-      const int len = (comm.rank() - s + kRanks) % kRanks;
-      ASSERT_EQ(recv_from[s].size(), static_cast<std::size_t>(len));
-      for (int v : recv_from[s]) EXPECT_EQ(v, s * 100 + comm.rank());
-    }
-  });
-}
-
-TEST(Collectives, AlltoallvAllEmpty) {
-  run(4, [](Comm& comm) {
-    std::vector<std::vector<double>> send_to(4);
-    const auto recv_from = comm.alltoallv(send_to);
-    for (const auto& v : recv_from) EXPECT_TRUE(v.empty());
-  });
-}
-
 TEST(Collectives, EmptyContributionsRoundTrip) {
   // Rank 0 contributes nothing to every variable-length collective; the
   // empty payloads must arrive as empty vectors, beside non-empty ones.
@@ -200,19 +171,10 @@ TEST(Collectives, EmptyContributionsRoundTrip) {
     if (comm.rank() != 0) mine.push_back(comm.rank());
     const auto all = comm.allgatherv<int>(mine);
     const auto at0 = comm.gatherv<int>(mine, /*root=*/0);
-    std::vector<std::vector<int>> send_to(kRanks);
-    if (comm.rank() != 0)
-      for (int d = 0; d < kRanks; ++d) send_to[d] = {comm.rank() * 10 + d};
-    const auto recv_from = comm.alltoallv(send_to);
 
     ASSERT_EQ(all.size(), static_cast<std::size_t>(kRanks));
-    ASSERT_EQ(recv_from.size(), static_cast<std::size_t>(kRanks));
     EXPECT_TRUE(all[0].empty());
-    EXPECT_TRUE(recv_from[0].empty());
-    for (int r = 1; r < kRanks; ++r) {
-      EXPECT_EQ(all[r], std::vector<int>{r});
-      EXPECT_EQ(recv_from[r], std::vector<int>{r * 10 + comm.rank()});
-    }
+    for (int r = 1; r < kRanks; ++r) EXPECT_EQ(all[r], std::vector<int>{r});
     if (comm.rank() == 0) {
       ASSERT_EQ(at0.size(), static_cast<std::size_t>(kRanks));
       EXPECT_TRUE(at0[0].empty());

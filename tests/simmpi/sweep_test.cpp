@@ -52,21 +52,6 @@ TEST_P(RankSweep, ExscanPrefix) {
   });
 }
 
-TEST_P(RankSweep, AlltoallvTransposesTags) {
-  const int n = GetParam();
-  run(n, [&](Comm& comm) {
-    std::vector<std::vector<int>> send_to(static_cast<std::size_t>(n));
-    for (int d = 0; d < n; ++d)
-      send_to[static_cast<std::size_t>(d)] = {comm.rank() * 1000 + d};
-    const auto recv = comm.alltoallv(send_to);
-    for (int s = 0; s < n; ++s) {
-      ASSERT_EQ(recv[static_cast<std::size_t>(s)].size(), 1u);
-      EXPECT_EQ(recv[static_cast<std::size_t>(s)][0],
-                s * 1000 + comm.rank());
-    }
-  });
-}
-
 TEST_P(RankSweep, RingExchange) {
   const int n = GetParam();
   run(n, [&](Comm& comm) {

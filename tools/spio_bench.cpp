@@ -2,8 +2,9 @@
 /// Parameterized write/read benchmark for the spio pipeline on the local
 /// machine — this library's h5perf. It writes a synthetic Uintah-style
 /// workload with a sweep of partition factors, reporting per-phase times
-/// (the real Fig. 6 breakdown at laptop scale), then measures
-/// metadata-guided read strong scaling on the best configuration.
+/// (the real Fig. 6 breakdown at laptop scale), then measures read
+/// strong scaling on the best configuration: each reader count restarts
+/// the dataset through `restart_read`, one box query per reader patch.
 ///
 /// Usage:
 ///   spio_bench [--ranks N] [--particles P] [--reps R] [--dir path]
@@ -32,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/reader.hpp"
+#include "core/restart.hpp"
 #include "core/writer.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -206,15 +207,14 @@ int main(int argc, char** argv) {
   for (int readers = 1; readers <= ranks; readers *= 2) {
     double best_rep = 1e300;
     std::uint64_t files = 0;
+    const PatchDecomposition tiles =
+        PatchDecomposition::for_ranks(decomp.domain(), readers);
     for (int rep = 0; rep < reps; ++rep) {
       std::atomic<std::uint64_t> opened{0};
       const auto t0 = std::chrono::steady_clock::now();
       simmpi::run(readers, [&](simmpi::Comm& comm) {
-        const Dataset ds = Dataset::open(dataset);
         ReadStats rs;
-        ds.query_box(
-            reader_tile(ds.metadata().domain, comm.rank(), comm.size()), -1,
-            comm.size(), &rs);
+        restart_read(comm, tiles, dataset, &rs);
         // A cached prefix is still a planned file; files_opened alone
         // counts only disk opens, which the first reader count warms.
         opened += static_cast<std::uint64_t>(rs.files_opened) + rs.cache_hits;

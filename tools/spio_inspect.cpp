@@ -81,18 +81,6 @@ void print_run_record(const std::filesystem::path& dir) {
                 << " metadata_io="
                 << max_phase(w->at("phase_seconds"), "metadata_io") << "\n";
     }
-    if (const obs::JsonValue* r = rec.find("read")) {
-      const obs::JsonValue& totals = r->at("totals");
-      std::cout << "    read : " << r->at("ranks").as_i64() << " ranks, "
-                << totals.at("files_opened").as_u64() << " files, "
-                << format_bytes(totals.at("bytes_read").as_u64())
-                << " read, amplification "
-                << totals.at("read_amplification").as_double() << "\n"
-                << "      max phase seconds: file_io="
-                << max_phase(r->at("phase_seconds"), "file_io")
-                << " exchange="
-                << max_phase(r->at("phase_seconds"), "exchange") << "\n";
-    }
   } catch (const Error& e) {
     std::cout << "  run record: unreadable (" << e.what() << ")\n";
   }

@@ -11,7 +11,7 @@
 /// `SPIO_TRACE=path`), prints a Fig. 6-style per-rank, per-phase
 /// breakdown of the write pipeline plus a span summary. Given a dataset
 /// directory holding a `trace.spio.json` run record, prints the record's
-/// phase tables instead.
+/// write phase table instead.
 ///
 /// A `postmortem.spio.json` failure bundle is recognized by its
 /// `"format"` key (or forced with `--postmortem`, which on a dataset
@@ -280,55 +280,35 @@ void render_postmortem(const obs::JsonValue& doc) {
 /// Render a dataset's `trace.spio.json` run record.
 void render_record(const std::filesystem::path& dir, bool csv) {
   const obs::JsonValue rec = obs::load_run_record(dir);
-  const auto print = [&](Table& t) {
-    csv ? t.print_csv(std::cout) : t.print(std::cout);
-    std::cout << "\n";
-  };
-  if (const obs::JsonValue* w = rec.find("write")) {
-    Table t("write phases (seconds per rank)",
-            {"rank", "setup", "meta_exch", "particle_exch", "reorder",
-             "file_io", "metadata_io"});
-    const obs::JsonValue& phases = w->at("phase_seconds");
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-      const obs::JsonValue& p = phases.at(i);
-      t.row()
-          .add_int(p.at("rank").as_i64())
-          .add_double(p.at("setup").as_double(), 4)
-          .add_double(p.at("meta_exchange").as_double(), 4)
-          .add_double(p.at("particle_exchange").as_double(), 4)
-          .add_double(p.at("reorder").as_double(), 4)
-          .add_double(p.at("file_io").as_double(), 4)
-          .add_double(p.at("metadata_io").as_double(), 4);
-    }
-    print(t);
-    const obs::JsonValue& totals = w->at("totals");
-    std::cout << "write totals: "
-              << totals.at("particles_written").as_u64() << " particles, "
-              << format_bytes(totals.at("bytes_written").as_u64()) << " in "
-              << totals.at("files_written").as_u64() << " files, "
-              << format_bytes(totals.at("bytes_sent").as_u64())
-              << " exchanged\n\n";
+  const obs::JsonValue* w = rec.find("write");
+  if (!w) {
+    std::cout << "run record holds no write section\n";
+    return;
   }
-  if (const obs::JsonValue* r = rec.find("read")) {
-    Table t("read phases (seconds per rank)",
-            {"rank", "file_io", "exchange"});
-    const obs::JsonValue& phases = r->at("phase_seconds");
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-      const obs::JsonValue& p = phases.at(i);
-      t.row()
-          .add_int(p.at("rank").as_i64())
-          .add_double(p.at("file_io").as_double(), 4)
-          .add_double(p.at("exchange").as_double(), 4);
-    }
-    print(t);
-    const obs::JsonValue& totals = r->at("totals");
-    std::cout << "read totals: " << totals.at("files_opened").as_u64()
-              << " files, " << format_bytes(totals.at("bytes_read").as_u64())
-              << " read, amplification "
-              << totals.at("read_amplification").as_double() << "\n";
+  Table t("write phases (seconds per rank)",
+          {"rank", "setup", "meta_exch", "particle_exch", "reorder",
+           "file_io", "metadata_io"});
+  const obs::JsonValue& phases = w->at("phase_seconds");
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const obs::JsonValue& p = phases.at(i);
+    t.row()
+        .add_int(p.at("rank").as_i64())
+        .add_double(p.at("setup").as_double(), 4)
+        .add_double(p.at("meta_exchange").as_double(), 4)
+        .add_double(p.at("particle_exchange").as_double(), 4)
+        .add_double(p.at("reorder").as_double(), 4)
+        .add_double(p.at("file_io").as_double(), 4)
+        .add_double(p.at("metadata_io").as_double(), 4);
   }
-  if (!rec.contains("write") && !rec.contains("read"))
-    std::cout << "run record holds no write or read section\n";
+  csv ? t.print_csv(std::cout) : t.print(std::cout);
+  std::cout << "\n";
+  const obs::JsonValue& totals = w->at("totals");
+  std::cout << "write totals: " << totals.at("particles_written").as_u64()
+            << " particles, "
+            << format_bytes(totals.at("bytes_written").as_u64()) << " in "
+            << totals.at("files_written").as_u64() << " files, "
+            << format_bytes(totals.at("bytes_sent").as_u64())
+            << " exchanged\n\n";
 }
 
 /// Does this document look like one line of an `SPIO_STATS` stream?
