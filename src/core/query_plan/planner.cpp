@@ -122,16 +122,12 @@ QueryPlan QueryPlanner::plan(const DatasetMetadata& meta, const Box3& box,
       // after the last zone that can still match. Prefixes are all a
       // reader can fetch, so only the tail is skippable.
       const std::size_t rc = meta.range_count();
-      const std::uint32_t nz = zone_file_count(zones_->lod, f.particle_count);
       std::uint64_t keep = 0;
-      for (std::uint32_t z = 0;
-           z < nz && zone_begin(zones_->lod, z, f.particle_count) < want;
-           ++z) {
-        if (zone_admits(meta, fz->zones.data() + std::size_t{z} * rc, box,
-                        filters)) {
-          keep = std::min(want,
-                          zone_begin(zones_->lod, z + 1, f.particle_count));
-        }
+      for (std::uint64_t z = 0, b = 0; b < want; ++z) {
+        const std::uint64_t e = zone_end(zones_->lod, z, b, f.particle_count);
+        if (zone_admits(meta, fz->zones.data() + z * rc, box, filters))
+          keep = std::min(want, e);
+        b = e;
       }
       if (keep == 0) {
         // No zone of the prefix can match: skip the file entirely.

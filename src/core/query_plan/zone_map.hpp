@@ -8,11 +8,10 @@
 /// whole files, and LOD tails within files, that provably contain no
 /// records matching a range filter or query box.
 ///
-/// Zone z of an N-record file covers records
-///   [zone_begin(lod, z, N), zone_begin(lod, z + 1, N))
-/// — the single-reader LOD prefix law applied file-locally, which every
-/// reader can recompute from the metadata alone. `zone_file_count` is
-/// `lod_level_count(lod, 1, N)`.
+/// Zone z of an N-record file covers records [b[z], b[z + 1]) of
+/// `b = zone_bounds(lod, N)` — the single-reader LOD prefix law applied
+/// file-locally, which every reader can recompute from the metadata
+/// alone. Every zone function here takes the same walk, `zone_end`.
 ///
 /// A zone component that contains any NaN is stored as [-inf, +inf] so it
 /// conservatively matches every interval; pruning therefore never drops a
@@ -27,14 +26,22 @@
 
 namespace spio {
 
+/// The end of zone `z` of an `n`-record file that starts at `begin`
+/// (< n): one step of `lod_cumulative`'s rule, which adds level z's
+/// `lod_level_size(lod, 1, z)` records until that reaches the rest of the
+/// file.
+std::uint64_t zone_end(const LodParams& lod, std::size_t z,
+                       std::uint64_t begin, std::uint64_t n);
+
 /// Number of zones of an `n`-record file (non-empty LOD levels for one
-/// reader). 0 when n == 0.
+/// reader, `lod_level_count(lod, 1, n)`). 0 when n == 0.
 std::uint32_t zone_file_count(const LodParams& lod, std::uint64_t n);
 
-/// First record of zone `z` of an `n`-record file; `zone_begin(lod,
-/// zone_file_count(lod, n), n) == n`.
-std::uint64_t zone_begin(const LodParams& lod, std::uint32_t z,
-                         std::uint64_t n);
+/// The zone starts of an `n`-record file and `n` itself: Z + 1 ascending
+/// entries for Z = `zone_file_count(lod, n)`, entry z equal to
+/// `lod_cumulative(lod, 1, z, n)`. `{0}` when n == 0.
+std::vector<std::uint64_t> zone_bounds(const LodParams& lod,
+                                       std::uint64_t n);
 
 /// One file's zone table: `zones[z * range_count + c]` is the closed
 /// min/max of component `c` over zone `z` (zone-major).
@@ -73,13 +80,28 @@ struct ZoneMapTable {
 };
 
 /// Fold `records` (whole records of `schema`, starting at record `first`
-/// of an `n`-record LOD-ordered file) into the file's zone-major min/max
-/// table of every field component; an empty `zones` is sized first.
-/// Feeding a file in order in chunks gives the table of one call.
+/// of a LOD-ordered file whose zones start at `bounds`, see
+/// `zone_bounds`) into the file's zone-major min/max table of every field
+/// component; an empty `zones` is sized first. Feeding a file in order in
+/// chunks gives the table of one call.
+///
+/// With AVX2 active (`simd::active_level()`) each chunk is split at zone
+/// boundaries and each segment is reduced in registers, 4-lane loads
+/// over every run of at least four contiguous f64 components and scalar
+/// accumulators for the rest, then folded into the table once. Below
+/// AVX2 this is `add_zone_maps_reference`; both give the same bytes.
 void add_zone_maps(std::vector<FieldRange>& zones,
                    std::span<const std::byte> records, const Schema& schema,
-                   const LodParams& lod, std::uint64_t first,
-                   std::uint64_t n);
+                   std::span<const std::uint64_t> bounds,
+                   std::uint64_t first);
+
+/// The record-major oracle of `add_zone_maps`: each record updates all of
+/// its zone's component ranges in the table.
+void add_zone_maps_reference(std::vector<FieldRange>& zones,
+                             std::span<const std::byte> records,
+                             const Schema& schema,
+                             std::span<const std::uint64_t> bounds,
+                             std::uint64_t first);
 
 /// The zone table of a whole LOD-ordered buffer. Empty buffer -> empty
 /// table.

@@ -69,14 +69,12 @@ void deep_check_file(const Dataset& ds, int fi, const ZoneMapTable* zones,
     // record is legal only under the conservative [-inf, +inf] zone.
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const std::size_t rc = zones->range_count;
-    std::uint32_t z = 0;
-    std::uint64_t next = zone_begin(zones->lod, 1, rec.particle_count);
+    const std::vector<std::uint64_t> bounds =
+        zone_bounds(zones->lod, rec.particle_count);
+    std::size_t z = 0;
     bool reported = false;
     for (std::size_t i = 0; i < buf.size() && !reported; ++i) {
-      while (i >= next) {
-        ++z;
-        next = zone_begin(zones->lod, z + 1, rec.particle_count);
-      }
+      while (i >= bounds[z + 1]) ++z;
       for (std::size_t f = 0;
            f < meta.schema.field_count() && !reported; ++f) {
         const FieldDesc& fd = meta.schema.fields()[f];

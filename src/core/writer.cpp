@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
-#include <fstream>
+#include <exception>
 #include <map>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <type_traits>
 
 #include "core/journal.hpp"
@@ -37,6 +40,106 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+/// Write-behind for one data file: the rank thread fills one of two
+/// staging slots while this object's thread writes the other, so the
+/// write syscalls leave the gather's critical path. Slots are written in
+/// the order they are submitted, which is file order, and the file is
+/// closed and checked on the writer thread. The first write error stops
+/// that thread; the rank thread's next `next_slot` or `finish` joins it
+/// and rethrows the error there.
+class WriteBehind {
+ public:
+  WriteBehind(const std::filesystem::path& path, std::span<std::byte> slot0,
+              std::span<std::byte> slot1)
+      : file_(path), slots_{slot0, slot1}, thread_([this] { run(); }) {}
+
+  /// Reached without `finish` only while an exception unwinds.
+  ~WriteBehind() {
+    if (thread_.joinable()) close_and_join();
+  }
+  WriteBehind(const WriteBehind&) = delete;
+  WriteBehind& operator=(const WriteBehind&) = delete;
+
+  /// The slot to fill next, once the writer is done with its previous
+  /// contents.
+  std::span<std::byte> next_slot() {
+    std::unique_lock lk(mu_);
+    cv_.wait(lk, [&] { return queued_[next_] == 0 || error_; });
+    if (error_) {
+      lk.unlock();
+      thread_.join();
+      std::rethrow_exception(error_);
+    }
+    return slots_[next_];
+  }
+
+  /// Hands the first `bytes` of the slot `next_slot` returned to the
+  /// writer.
+  void submit(std::size_t bytes) {
+    SPIO_EXPECTS(bytes > 0);
+    {
+      const std::lock_guard lk(mu_);
+      queued_[next_] = bytes;
+      next_ ^= 1;
+    }
+    cv_.notify_all();
+  }
+
+  /// Waits until every submitted slot is written and the file is closed.
+  void finish() {
+    close_and_join();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  /// Lets the writer write what was submitted, close the file and exit.
+  void close_and_join() {
+    {
+      const std::lock_guard lk(mu_);
+      closing_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  void run() {
+    try {
+      for (std::size_t s = 0;; s ^= 1) {
+        std::size_t bytes = 0;
+        {
+          std::unique_lock lk(mu_);
+          cv_.wait(lk, [&] { return queued_[s] != 0 || closing_; });
+          if (queued_[s] == 0) break;  // closing, and every slot written
+          bytes = queued_[s];
+        }
+        file_.write(slots_[s].first(bytes));
+        {
+          const std::lock_guard lk(mu_);
+          queued_[s] = 0;
+        }
+        cv_.notify_all();
+      }
+      file_.close();
+    } catch (...) {
+      {
+        const std::lock_guard lk(mu_);
+        error_ = std::current_exception();
+      }
+      cv_.notify_all();
+    }
+  }
+
+  FileWriter file_;  // the writer thread's alone while it runs
+  std::span<std::byte> slots_[2];
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t queued_[2] = {0, 0};  // bytes waiting in each slot
+  std::size_t next_ = 0;            // the slot the rank thread fills next
+  bool closing_ = false;
+  std::exception_ptr error_;
+  std::thread thread_;  // last: starts once the members above exist
+};
 
 /// Per-axis grid state hoisted out of the binning loop: raw edge pointer,
 /// dimension, and inverse nominal cell size in one flat struct, so the
@@ -630,17 +733,19 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
   stats.reorder_seconds = seconds_since(t0);
 
   // ---- step 7: gather, zone-map, checksum and write the data file ----
-  // One pass: each chunk of the LOD order is gathered from the payloads
-  // into a reused staging buffer, then folded into the zone maps, field
-  // ranges and CRC and written while it is still in cache. Under fault
-  // injection the staging buffer spans the whole file instead, for the
-  // validated write's read-back and rewrite.
+  // Each chunk of the LOD order is gathered from the payloads into a
+  // staging slot and, while it is in cache, folded into the zone maps,
+  // field ranges and CRC. The file is written behind: a writer thread
+  // writes chunk k from one slot while this thread gathers chunk k + 1
+  // into the other. Under fault injection the staging buffer spans the
+  // whole file instead, for the validated write's read-back and rewrite.
   enter_phase(faultsim::WritePhase::kDataWrite);
   phase.begin("write.file_io");
   t0 = Clock::now();
   FileRecord my_record;
   std::uint64_t my_crc = 0;
   std::vector<FieldRange> my_zones;
+  std::uint32_t my_zone_count = 0;
   bool have_file = false;
   // Freed, like the payloads, only after the closing barrier: a rank that
   // freed it while others still allocate theirs would raise the
@@ -656,42 +761,53 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
     const auto path = config.dir / my_record.file_name();
 
     const Schema& schema = local.schema();
-    std::ofstream file;
-    if (!config.faults) {
-      file.open(path, std::ios::binary | std::ios::trunc);
-      SPIO_CHECK(file, IoError,
-                 "cannot open '" << path.string() << "' for writing");
+    std::vector<std::uint64_t> bounds;
+    if (config.write_zone_maps) {
+      bounds = zone_bounds(config.lod, n);
+      my_zone_count = static_cast<std::uint32_t>(bounds.size() - 1);
     }
-    Crc64 crc;
-    const std::size_t chunk = std::max<std::size_t>(1, kIoChunk / rs);
-    staging.resize((config.faults ? n : std::min(n, chunk)) * rs);
-    for (std::size_t first = 0; first < n; first += chunk) {
-      const std::size_t count = std::min(chunk, n - first);
-      std::byte* dst = staging.data() + (config.faults ? first * rs : 0);
+    // Gathers records [first, first + count) of the LOD order into `dst`
+    // and folds them into the zone maps or the field ranges.
+    const auto gather = [&](std::byte* dst, std::size_t first,
+                            std::size_t count) {
       for (std::size_t k = 0; k < count; ++k)
         std::memcpy(dst + k * rs, order[first + k], rs);
       const std::span<const std::byte> records(dst, count * rs);
       // With zone maps, the file-level ranges are the union of the zones.
       if (config.write_zone_maps) {
-        add_zone_maps(my_zones, records, schema, config.lod, first, n);
+        add_zone_maps(my_zones, records, schema, bounds, first);
       } else if (config.write_field_ranges) {
         add_field_ranges(my_record.field_ranges, records, schema);
       }
-      if (config.write_checksums) crc.update(records);
-      if (file.is_open()) {
-        file.write(reinterpret_cast<const char*>(records.data()),
-                   static_cast<std::streamsize>(records.size()));
-        SPIO_CHECK(file, IoError, "short write to '" << path.string() << "'");
+      return records;
+    };
+    const std::size_t chunk = std::max<std::size_t>(1, kIoChunk / rs);
+    if (config.faults) {
+      // Validated write: read back, compare checksums, rewrite torn or
+      // corrupted attempts within a bounded budget.
+      staging.resize(n * rs);
+      for (std::size_t first = 0; first < n; first += chunk)
+        gather(staging.data() + first * rs, first, std::min(chunk, n - first));
+      my_crc = faultsim::checked_write_file(path, staging, config.faults,
+                                            rank);
+    } else {
+      const std::size_t slot = std::min(n, chunk) * rs;
+      staging.resize(2 * slot);
+      const std::span<std::byte> slots(staging);
+      WriteBehind file(path, slots.first(slot), slots.subspan(slot));
+      Crc64 crc;
+      for (std::size_t first = 0; first < n; first += chunk) {
+        const std::span<const std::byte> records =
+            gather(file.next_slot().data(), first, std::min(chunk, n - first));
+        if (config.write_checksums) crc.update(records);
+        file.submit(records.size());
       }
+      file.finish();
+      my_crc = crc.value();
     }
-    // Validated write: read back, compare checksums, rewrite torn or
-    // corrupted attempts within a bounded budget.
-    my_crc = config.faults ? faultsim::checked_write_file(
-                                 path, staging, config.faults, rank)
-                           : crc.value();
     if (config.write_zone_maps && config.write_field_ranges)
-      my_record.field_ranges = zone_union(
-          my_zones, my_zones.size() / zone_file_count(config.lod, n));
+      my_record.field_ranges =
+          zone_union(my_zones, my_zones.size() / my_zone_count);
     stats.particles_written = n;
     stats.bytes_written = n * rs;
     stats.files_written = 1;
@@ -720,8 +836,7 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
     if (config.write_zone_maps) {
       // The zone table rides the same wire; rank 0 splits it into
       // zones.spio. Count first so the reader can size the blob.
-      record_bytes.write<std::uint32_t>(
-          zone_file_count(config.lod, my_record.particle_count));
+      record_bytes.write<std::uint32_t>(my_zone_count);
       for (const FieldRange& z : my_zones) {
         record_bytes.write<double>(z.min);
         record_bytes.write<double>(z.max);

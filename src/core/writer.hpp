@@ -10,7 +10,9 @@
 ///   5. exchange particles                   (§3.3)
 ///   6. build the LOD order of the particles (§3.4)
 ///   7. write one data file per partition, gathering it in LOD order
-///      chunk by chunk from the received payloads (§3.4)
+///      chunk by chunk from the received payloads and zone-mapping and
+///      checksumming each chunk while it is hot; a writer thread writes
+///      chunk k while the rank thread gathers chunk k + 1 (§3.4)
 ///   8. gather bounds and write the spatial metadata file (§3.5)
 ///
 /// The adaptive variant (§6) prepends an all-to-all extent exchange and

@@ -9,6 +9,7 @@
 
 #include "simd/simd_level.hpp"
 #include "util/error.hpp"
+#include "util/serialize.hpp"
 
 #if (defined(__x86_64__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -219,24 +220,16 @@ std::uint64_t crc64_bytewise(std::span<const std::byte> data) {
 
 std::uint64_t crc64_write_file(const std::filesystem::path& path,
                                std::span<const std::byte> bytes) {
-  std::unique_ptr<std::FILE, FileCloser> f(
-      std::fopen(path.string().c_str(), "wb"));
-  SPIO_CHECK(f != nullptr, IoError,
-             "cannot open '" << path.string() << "' for writing");
+  FileWriter f(path);
   Crc64 crc;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const std::size_t n = std::min(kIoChunk, bytes.size() - off);
-    const std::span<const std::byte> chunk = bytes.subspan(off, n);
+  for (std::size_t off = 0; off < bytes.size(); off += kIoChunk) {
+    const std::span<const std::byte> chunk =
+        bytes.subspan(off, std::min(kIoChunk, bytes.size() - off));
     // Checksum the chunk while it is hot in cache from the write.
-    const std::size_t written =
-        std::fwrite(chunk.data(), 1, chunk.size(), f.get());
-    SPIO_CHECK(written == chunk.size(), IoError,
-               "short write to '" << path.string() << "': " << off + written
-                                  << " of " << bytes.size() << " bytes");
+    f.write(chunk);
     crc.update(chunk);
-    off += n;
   }
+  f.close();
   return crc.value();
 }
 

@@ -60,7 +60,7 @@ std::uint64_t crc64_bytewise(std::span<const std::byte> data);
 
 /// Write `bytes` to `path` (replacing any existing file) while computing
 /// their CRC-64 in the same pass over the buffer. Returns the checksum.
-/// Throws `IoError` on open/write failure.
+/// Throws `IoError` on open, write or close failure.
 std::uint64_t crc64_write_file(const std::filesystem::path& path,
                                std::span<const std::byte> bytes);
 

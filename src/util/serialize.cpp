@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 namespace spio {
 
@@ -23,26 +24,45 @@ FilePtr open_checked(const std::filesystem::path& path, const char* mode) {
 
 }  // namespace
 
+FileWriter::FileWriter(const std::filesystem::path& path, bool append)
+    : path_(path), file_(std::fopen(path.c_str(), append ? "ab" : "wb")) {
+  SPIO_CHECK(file_ != nullptr, IoError,
+             "cannot open '" << path_.string() << "' for writing");
+}
+
+FileWriter::~FileWriter() {
+  if (file_) std::fclose(file_);
+}
+
+void FileWriter::write(std::span<const std::byte> bytes) {
+  SPIO_EXPECTS(file_ != nullptr);
+  if (bytes.empty()) return;
+  const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), file_);
+  SPIO_CHECK(n == bytes.size(), IoError,
+             "short write to '" << path_.string() << "': " << n << " of "
+                                << bytes.size() << " bytes");
+}
+
+void FileWriter::close() {
+  SPIO_EXPECTS(file_ != nullptr);
+  std::FILE* f = std::exchange(file_, nullptr);
+  SPIO_CHECK(std::fclose(f) == 0, IoError,
+             "short write to '" << path_.string()
+                                << "': buffered bytes failed at close");
+}
+
 void write_file(const std::filesystem::path& path,
                 std::span<const std::byte> bytes) {
-  FilePtr f = open_checked(path, "wb");
-  if (!bytes.empty()) {
-    const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f.get());
-    SPIO_CHECK(n == bytes.size(), IoError,
-               "short write to '" << path.string() << "': " << n << " of "
-                                  << bytes.size() << " bytes");
-  }
+  FileWriter f(path);
+  f.write(bytes);
+  f.close();
 }
 
 void append_file(const std::filesystem::path& path,
                  std::span<const std::byte> bytes) {
-  FilePtr f = open_checked(path, "ab");
-  if (!bytes.empty()) {
-    const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f.get());
-    SPIO_CHECK(n == bytes.size(), IoError,
-               "short append to '" << path.string() << "': " << n << " of "
-                                   << bytes.size() << " bytes");
-  }
+  FileWriter f(path, /*append=*/true);
+  f.write(bytes);
+  f.close();
 }
 
 std::vector<std::byte> read_file(const std::filesystem::path& path) {

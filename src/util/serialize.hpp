@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <span>
@@ -132,6 +133,27 @@ class BinaryReader {
 
   std::span<const std::byte> bytes_;
   std::size_t pos_ = 0;
+};
+
+/// A file open for writing whose every failure surfaces as `IoError`
+/// ("short write to '<path>'"): a `write` the device refuses throws at
+/// once, and `close` writes out what stdio still buffers and checks that
+/// too. Destroying a writer that was not closed closes it unchecked, for
+/// paths that are already throwing.
+class FileWriter {
+ public:
+  /// Opens `path`, replacing it, or appending to it with `append`.
+  explicit FileWriter(const std::filesystem::path& path, bool append = false);
+  ~FileWriter();
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
+
+  void write(std::span<const std::byte> bytes);
+  void close();
+
+ private:
+  std::filesystem::path path_;
+  std::FILE* file_;  // null once closed
 };
 
 /// Write `bytes` to `path`, replacing any existing file. Throws `IoError`.

@@ -7,12 +7,16 @@
 #include <set>
 #include <vector>
 
+#include "core/lod.hpp"
 #include "core/query_plan/kd_tree.hpp"
 #include "core/query_plan/zone_map.hpp"
 #include "core/read_engine.hpp"
 #include "core/reader.hpp"
 #include "core/writer.hpp"
 #include "simmpi/runtime.hpp"
+#include "util/checksum.hpp"
+#include "util/error.hpp"
+#include "util/serialize.hpp"
 #include "util/temp_dir.hpp"
 #include "workload/generators.hpp"
 
@@ -472,12 +476,75 @@ TEST(ZoneLaw, ZoneBoundariesTileTheFile) {
   const LodParams lod{32, 2.0};
   for (const std::uint64_t n : {0ull, 1ull, 31ull, 32ull, 33ull, 600ull,
                                 4096ull, 123457ull}) {
+    const std::vector<std::uint64_t> b = zone_bounds(lod, n);
     const std::uint32_t nz = zone_file_count(lod, n);
-    EXPECT_EQ(zone_begin(lod, 0, n), 0u);
-    EXPECT_EQ(zone_begin(lod, nz, n), n);
-    for (std::uint32_t z = 0; z < nz; ++z)
-      EXPECT_LT(zone_begin(lod, z, n), zone_begin(lod, z + 1, n));
+    ASSERT_EQ(b.size(), std::size_t{nz} + 1);
+    EXPECT_EQ(b[0], 0u);
+    EXPECT_EQ(b[nz], n);
+    for (std::uint32_t z = 0; z < nz; ++z) EXPECT_LT(b[z], b[z + 1]);
   }
+}
+
+/// `zone_bounds` walks the LOD law once; every entry must equal the
+/// per-level `lod_cumulative`, including where a level saturates the file
+/// exactly, one record short of it and one past it, and where a level's
+/// nominal size saturates u64.
+TEST(ZoneLaw, ZoneBoundsMatchLodCumulative) {
+  const LodParams params[] = {{1, 1.0},  {1, 1.5},      {3, 2.0},
+                              {32, 2.0}, {32, 3.25},    {1000, 1.01},
+                              {7, 1e9},  {1ull << 62, 4.0}};
+  for (const LodParams& lod : params) {
+    std::vector<std::uint64_t> sizes{0, 1, 2, 31, 32, 33, 600, 123457};
+    // n at, just below and just above each of the first cumulative edges.
+    for (int l = 1; l <= 12; ++l) {
+      const std::uint64_t edge = lod_cumulative(lod, 1, l, ~0ull);
+      for (const std::uint64_t d : {edge - 1, edge, edge + 1})
+        sizes.push_back(d);
+    }
+    sizes.push_back(~0ull);
+    for (const std::uint64_t n : sizes) {
+      // S = 1 makes the law linear: n / P zones, and the oracles below
+      // take a walk per zone.
+      if (lod.S == 1.0 && n / lod.P > 1000) continue;
+      const std::vector<std::uint64_t> b = zone_bounds(lod, n);
+      ASSERT_EQ(b.size(), std::size_t{zone_file_count(lod, n)} + 1)
+          << "P=" << lod.P << " S=" << lod.S << " n=" << n;
+      ASSERT_EQ(zone_file_count(lod, n),
+                static_cast<std::uint32_t>(lod_level_count(lod, 1, n)))
+          << "P=" << lod.P << " S=" << lod.S << " n=" << n;
+      for (std::size_t z = 0; z < b.size(); ++z)
+        ASSERT_EQ(b[z], lod_cumulative(lod, 1, static_cast<int>(z), n))
+            << "P=" << lod.P << " S=" << lod.S << " n=" << n << " z=" << z;
+    }
+  }
+}
+
+/// A sidecar entry whose zone count the bytes after it cannot hold, or
+/// that the LOD law refutes, is refused at once: the law's walk is bounded
+/// by the claimed count, so S = 1 over a huge file costs nothing.
+TEST(ZoneLaw, ForgedSidecarCountsAreRefusedWithoutWalkingTheFile) {
+  const auto forged = [](std::uint32_t zones, std::uint32_t ranges_present) {
+    BinaryWriter w;
+    w.write<std::uint32_t>(ZoneMapTable::kMagic);
+    w.write<std::uint32_t>(ZoneMapTable::kVersion);
+    w.write<std::uint32_t>(1);  // range_count
+    w.write<std::uint64_t>(1);  // P
+    w.write<double>(1.0);       // S: one record per zone
+    w.write<std::uint32_t>(1);  // files
+    w.write<std::uint32_t>(0);  // aggregator rank
+    w.write<std::uint64_t>(std::uint64_t{1} << 40);
+    w.write<std::uint32_t>(zones);
+    for (std::uint32_t z = 0; z < ranges_present; ++z) {
+      w.write<double>(0.0);
+      w.write<double>(1.0);
+    }
+    w.write<std::uint64_t>(crc64(w.bytes()));
+    return w.take();
+  };
+  // Claims 2^20 zones but carries none of them.
+  EXPECT_THROW(ZoneMapTable::deserialize(forged(1u << 20, 0)), FormatError);
+  // Carries the 4 zones it claims; the law says 2^40.
+  EXPECT_THROW(ZoneMapTable::deserialize(forged(4, 4)), FormatError);
 }
 
 }  // namespace

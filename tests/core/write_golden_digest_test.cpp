@@ -233,17 +233,17 @@ TEST(WriteGoldenDigest, MultiChunkFileWithNaNsAtChunkAndZoneBoundaries) {
   const std::size_t rs = schema.record_size();
   const std::size_t chunk = kIoChunk / rs;
   const std::uint64_t n = 2 * chunk + chunk / 3;
-  const LodParams lod;
-  ASSERT_LT(zone_begin(lod, 8, n), chunk);
-  ASSERT_GT(zone_begin(lod, 9, n), chunk);
-  ASSERT_LT(zone_begin(lod, 9, n), 2 * chunk);
+  const std::vector<std::uint64_t> bounds = zone_bounds(LodParams{}, n);
+  ASSERT_LT(bounds[8], chunk);
+  ASSERT_GT(bounds[9], chunk);
+  ASSERT_LT(bounds[9], 2 * chunk);
   const std::size_t id_off = schema.offset(schema.index_of("id"));
   const std::size_t density_off = schema.offset(schema.index_of("density"));
   const std::size_t stress_off = schema.offset(schema.index_of("stress"));
   const std::size_t type_off = schema.offset(schema.index_of("type"));
   // Output positions straddling the first chunk boundary and a zone
   // boundary, and the field each one poisons.
-  const std::uint64_t zb = zone_begin(lod, 9, n);
+  const std::uint64_t zb = bounds[9];
   const std::pair<std::uint64_t, std::size_t> poison[] = {
       {chunk - 1, density_off},
       {chunk, stress_off + 4 * sizeof(double)},

@@ -182,14 +182,13 @@ void print_zone_maps(const Dataset& ds, bool all_files) {
     const FileRecord& f = m.files[i];
     const FileZones* fz = zones->find(f.aggregator_rank);
     if (fz == nullptr) continue;
-    const std::uint32_t levels = zone_file_count(zones->lod, fz->particle_count);
-    for (std::uint32_t z = 0; z < levels; ++z) {
+    const std::vector<std::uint64_t> bounds =
+        zone_bounds(zones->lod, fz->particle_count);
+    for (std::size_t z = 0; z + 1 < bounds.size(); ++z) {
       Table& row = t.row();
       row.add(f.file_name())
           .add_int(static_cast<long long>(z))
-          .add_int(static_cast<long long>(
-              zone_begin(zones->lod, z + 1, fz->particle_count) -
-              zone_begin(zones->lod, z, fz->particle_count)));
+          .add_int(static_cast<long long>(bounds[z + 1] - bounds[z]));
       for (std::size_t c = 0; c < zones->range_count; ++c)
         row.add(fmt(fz->zones[z * zones->range_count + c]));
     }
