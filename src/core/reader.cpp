@@ -5,6 +5,8 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <utility>
+#include <vector>
 
 #include "core/journal.hpp"
 #include "core/read_engine.hpp"
@@ -355,21 +357,25 @@ ParticleBuffer Dataset::collect_plan(const QueryPlan& plan, const Box3& box,
                                      std::span<const RangeFilter> filters,
                                      bool whole_file_fast_path,
                                      ReadStats* stats) const {
-  // The exact total is not known until every chunk is in. Reserve the
-  // metadata upper bound (every record of every prefix matching) and
-  // trim when a selective query leaves most of it unused — the trim
-  // copy is cheapest exactly when the result is small.
-  std::uint64_t upper = 0;
-  for (const FilePlan& p : plan.files) upper += p.fetch_records;
-  ParticleBuffer out(meta_.schema);
-  out.reserve(static_cast<std::size_t>(upper));
+  // The total is known only once every chunk is in, so the chunks are
+  // kept and the result is sized once, exactly — no upper-bound reserve
+  // to page-fault, no trim copy.
+  std::vector<ParticleBuffer> chunks;
+  std::size_t total = 0;
   execute_plan(plan, box, filters, whole_file_fast_path,
-               [&out](const ParticleBuffer& chunk) {
-                 out.append_bytes(chunk.bytes());
+               [&](ParticleBuffer& chunk) {
+                 total += chunk.size();
+                 chunks.push_back(std::move(chunk));
                  return true;
                },
                stats);
-  if (out.size() < upper / 2) out.shrink_to_fit();
+  if (chunks.size() == 1) return std::move(chunks.front());
+  ParticleBuffer out(meta_.schema);
+  out.reserve(total);
+  for (ParticleBuffer& chunk : chunks) {
+    out.append_bytes(chunk.bytes());
+    chunk.take_bytes();  // free it now: peak stays near one result
+  }
   return out;
 }
 
@@ -410,7 +416,9 @@ std::uint64_t Dataset::stream_box(
   obs::ScopedSpan span("read.stream_box", "reader");
   obs::ProfiledQuery pq("stream_box");
   return execute_plan(run_plan(box, {}, levels, n_readers), box, {},
-                      /*whole_file_fast_path=*/true, sink, stats);
+                      /*whole_file_fast_path=*/true,
+                      [&sink](ParticleBuffer& chunk) { return sink(chunk); },
+                      stats);
 }
 
 ParticleBuffer Dataset::query_box_scan_all(const Box3& box,

@@ -16,7 +16,8 @@
 /// are fetched and filtered concurrently by a bounded worker pool
 /// (`SPIO_READ_THREADS`), file prefixes are served from an LRU buffer
 /// cache (`SPIO_READ_CACHE`) so repeated queries skip disk, and
-/// per-particle filtering runs through fused run-copy kernels. The
+/// per-particle filtering runs through the SIMD kernels over each cached
+/// prefix's position mirror (fused scalar kernels otherwise). The
 /// per-file results reach the caller (or the streaming sink) in plan
 /// order, so output is byte-identical to the serial path; a pool of 1
 /// with the cache disabled reproduces serial reads exactly.
@@ -220,9 +221,9 @@ class Dataset {
   QueryPlan run_plan(const Box3& box, std::span<const RangeFilter> filters,
                      int levels, int n_readers) const;
 
-  /// Receives one file's filtered records; returning false stops the
-  /// query.
-  using ChunkSink = std::function<bool(const ParticleBuffer& chunk)>;
+  /// Receives one file's filtered records and may take them (move the
+  /// buffer out); returning false stops the query.
+  using ChunkSink = std::function<bool(ParticleBuffer& chunk)>;
 
   /// The plan executor behind every query entry point. Pool workers
   /// fetch and filter each planned file into a per-file chunk, at most
@@ -243,8 +244,10 @@ class Dataset {
                              bool whole_file_fast_path, const ChunkSink& sink,
                              ReadStats* stats) const;
 
-  /// `execute_plan` with a sink that appends every chunk to one buffer —
-  /// the body of `query_box` / `query` / `query_box_scan_all`.
+  /// `execute_plan` with a sink that takes every chunk, then one result
+  /// built at its exact size in plan order: a one-chunk plan moves its
+  /// chunk out, longer plans copy each chunk once and free it. The body
+  /// of `query_box` / `query` / `query_box_scan_all`.
   ParticleBuffer collect_plan(const QueryPlan& plan, const Box3& box,
                               std::span<const RangeFilter> filters,
                               bool whole_file_fast_path,

@@ -1,5 +1,7 @@
 #include "simd/kernels.hpp"
 
+#include <limits>
+
 #include "simd/kernels_isa.hpp"
 #include "simd/simd_level.hpp"
 
@@ -7,14 +9,18 @@ namespace spio::simd {
 
 namespace {
 
-/// The mirror must describe exactly the records in `bytes`; anything
-/// else means the caller paired a stale mirror with fresh bytes (or a
-/// zero record size) and the safe answer is the scalar fallback.
+/// The mirror must describe exactly the records in `bytes`, and `out`
+/// must hold records of the same size; anything else means the caller
+/// paired a stale mirror with fresh bytes (or a zero record size) and
+/// the safe answer is the scalar fallback. So does a mirror too long
+/// for the kernels' `u32` record indices.
 bool mirror_matches(const PositionMirror& mirror,
-                    std::span<const std::byte> bytes,
-                    std::size_t record_size) {
-  return record_size > 0 && bytes.size() % record_size == 0 &&
-         mirror.size() == bytes.size() / record_size;
+                    std::span<const std::byte> bytes, std::size_t record_size,
+                    const ParticleBuffer& out) {
+  return record_size > 0 && record_size == out.record_size() &&
+         bytes.size() % record_size == 0 &&
+         mirror.size() == bytes.size() / record_size &&
+         mirror.size() <= std::numeric_limits<std::uint32_t>::max();
 }
 
 }  // namespace
@@ -23,14 +29,13 @@ bool filter_box(const PositionMirror& mirror, std::span<const std::byte> bytes,
                 std::size_t record_size, const Box3& box, ParticleBuffer& out,
                 std::uint64_t* kept) {
   const Level level = active_level();
-  if (level == Level::kScalar || !mirror_matches(mirror, bytes, record_size))
+  if (level == Level::kScalar ||
+      !mirror_matches(mirror, bytes, record_size, out))
     return false;
   const std::uint64_t k =
       level == Level::kAVX2
-          ? detail::filter_box_avx2(mirror, bytes.data(), record_size, box,
-                                    out)
-          : detail::filter_box_sse2(mirror, bytes.data(), record_size, box,
-                                    out);
+          ? detail::filter_box_avx2(mirror, bytes.data(), box, out)
+          : detail::filter_box_sse2(mirror, bytes.data(), box, out);
   if (kept) *kept = k;
   return true;
 }
@@ -41,7 +46,8 @@ bool filter_box_ranges(const PositionMirror& mirror,
                        std::span<const RangePred> preds, ParticleBuffer& out,
                        std::uint64_t* kept) {
   const Level level = active_level();
-  if (level == Level::kScalar || !mirror_matches(mirror, bytes, record_size))
+  if (level == Level::kScalar ||
+      !mirror_matches(mirror, bytes, record_size, out))
     return false;
   const std::uint64_t k =
       level == Level::kAVX2

@@ -3,19 +3,21 @@
 /// \file kernels.hpp
 /// Explicitly vectorized read-path kernels over the SoA position mirror
 /// (docs/PERF.md "SIMD kernels"). Each kernel evaluates its predicate as
-/// SIMD masks over the mirror's contiguous x/y/z arrays, converts the
-/// masks to runs, then reserves the output exactly and copies the
-/// matching runs from the *AoS* byte buffer in record order with one
-/// `append_records` per run — the same records in the same order as the
-/// fused scalar kernels, so output is byte-identical to the
-/// `*_reference` oracles by construction (the differential suite in
-/// tests/simd/simd_kernels_test.cpp pins all three paths together).
+/// SIMD masks over the mirror's contiguous x/y/z arrays, compacts the
+/// masks branchlessly into an ascending list of `u32` record indices,
+/// then copies exactly those records from the *AoS* byte buffer into an
+/// exactly reserved `out` (`ParticleBuffer::append_gather`) — the same
+/// records in the same order as the fused scalar kernels, so output is
+/// byte-identical to the `*_reference` oracles by construction (the
+/// differential suite in tests/simd/simd_kernels_test.cpp pins all
+/// three paths together).
 ///
 /// Every entry point is a *try*: it returns false — leaving `out`
 /// untouched — when no SIMD path is available (`active_level()` is
-/// `kScalar`: non-x86 build, `SPIO_SIMD=off`, or a test cap) or when the
-/// mirror does not describe `bytes` (count mismatch). Callers fall back
-/// to the fused scalar kernels; `read_detail::*_dispatch` in
+/// `kScalar`: non-x86 build, `SPIO_SIMD=off`, or a test cap), when the
+/// mirror does not describe `bytes` (count or record-size mismatch), or
+/// when it holds more records than a `u32` index can name. Callers fall
+/// back to the fused scalar kernels; `read_detail::*_dispatch` in
 /// core/read_engine.hpp does exactly that and counts
 /// `kernel.simd_{hits,fallbacks}`.
 ///
@@ -47,8 +49,9 @@ struct RangePred {
 
 /// SIMD `filter_box`: append every record of `bytes` whose mirrored
 /// position lies in `box` (half-open) to `out`; `*kept` gets the count.
-/// Returns false (no-op) when dispatch lands on the scalar level or
-/// `mirror.size() != bytes.size() / record_size`.
+/// Returns false (no-op) when dispatch lands on the scalar level,
+/// `mirror.size() != bytes.size() / record_size`, `out` holds records of
+/// another size, or `mirror.size()` exceeds `UINT32_MAX`.
 bool filter_box(const PositionMirror& mirror, std::span<const std::byte> bytes,
                 std::size_t record_size, const Box3& box, ParticleBuffer& out,
                 std::uint64_t* kept);

@@ -36,9 +36,9 @@ struct TraitsAVX2 {
 }  // namespace
 
 std::uint64_t filter_box_avx2(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out) {
-  return filter_box_body<TraitsAVX2>(mirror, base, record_size, box, out);
+                              const std::byte* base, const Box3& box,
+                              ParticleBuffer& out) {
+  return filter_box_body<TraitsAVX2>(mirror, base, box, out);
 }
 
 std::uint64_t filter_box_ranges_avx2(const PositionMirror& mirror,
@@ -65,7 +65,7 @@ bool avx2_compiled() { return false; }
 namespace detail {
 
 std::uint64_t filter_box_avx2(const PositionMirror&, const std::byte*,
-                              std::size_t, const Box3&, ParticleBuffer&) {
+                              const Box3&, ParticleBuffer&) {
   std::abort();
 }
 

@@ -25,11 +25,11 @@ bool avx2_compiled();
 namespace detail {
 
 std::uint64_t filter_box_sse2(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out);
+                              const std::byte* base, const Box3& box,
+                              ParticleBuffer& out);
 std::uint64_t filter_box_avx2(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out);
+                              const std::byte* base, const Box3& box,
+                              ParticleBuffer& out);
 
 std::uint64_t filter_box_ranges_sse2(const PositionMirror& mirror,
                                      const std::byte* base,

@@ -40,9 +40,9 @@ struct TraitsSSE2 {
 }  // namespace
 
 std::uint64_t filter_box_sse2(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out) {
-  return filter_box_body<TraitsSSE2>(mirror, base, record_size, box, out);
+                              const std::byte* base, const Box3& box,
+                              ParticleBuffer& out) {
+  return filter_box_body<TraitsSSE2>(mirror, base, box, out);
 }
 
 std::uint64_t filter_box_ranges_sse2(const PositionMirror& mirror,
@@ -68,7 +68,7 @@ bool sse2_compiled() { return false; }
 namespace detail {
 
 std::uint64_t filter_box_sse2(const PositionMirror&, const std::byte*,
-                              std::size_t, const Box3&, ParticleBuffer&) {
+                              const Box3&, ParticleBuffer&) {
   std::abort();
 }
 

@@ -17,15 +17,22 @@
 ///   static Reg and_(Reg, Reg);
 ///   static unsigned movemask(Reg);             // sign bit per lane
 ///
-/// Byte-identity with the fused scalar kernels rests on every compare
-/// being ordered (NaN fails, matching scalar `>=`/`<`). Matching records
-/// are then copied from the very same AoS bytes with the same
-/// run-closure `append_records` calls.
+/// Both bodies first compact the box mask into a list of `u32` record
+/// indices with one branchless select pass: each movemask indexes a
+/// 2^W-row table of its set lanes, the pass stores all W candidates and
+/// advances by the row's count. LOD order is a random shuffle, so kept
+/// records rarely sit next to each other; a per-lane branch or a run
+/// per record would cost more than the scan. The indices are ascending,
+/// and `ParticleBuffer::append_gather` copies them from the very same
+/// AoS bytes in that order, so the output is byte-identical to the
+/// fused scalar kernels. Byte identity of the selection rests on every
+/// compare being ordered (NaN fails, matching scalar `>=`/`<`).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "simd/kernels.hpp"
 #include "simd/position_mirror.hpp"
@@ -34,52 +41,25 @@
 
 namespace spio::simd::detail {
 
-/// Folds a stream of per-record keep/drop decisions (indices strictly
-/// increasing) into runs *without touching the AoS bytes*, then copies
-/// them in one `flush`. The fused scalar kernels must copy each run the
-/// moment it closes (their scan is the expensive part); here the scan
-/// over the mirror is cheap, so deferring the copies buys an exact
-/// `reserve` — the regrowth copies of a large output cost more than the
-/// run bookkeeping. Runs flush in record order, so the output bytes are
-/// unchanged.
-class RunCollector {
- public:
-  void keep(std::size_t i) {
-    if (run_ == kNone) run_ = i;
-  }
-  void drop(std::size_t i) {
-    if (run_ != kNone) close(i);
-  }
-  std::uint64_t finish(std::size_t n) {
-    if (run_ != kNone) close(n);
-    return kept_;
-  }
-
-  /// One exact reserve, then one memcpy per run.
-  void flush(const std::byte* base, std::size_t record_size,
-             ParticleBuffer& out) const {
-    out.reserve(out.size() + static_cast<std::size_t>(kept_));
-    for (const Run& r : runs_)
-      out.append_records(base + r.start * record_size, r.len);
-  }
-
- private:
-  struct Run {
-    std::size_t start;
-    std::size_t len;
-  };
-
-  void close(std::size_t end) {
-    runs_.push_back({run_, end - run_});
-    kept_ += end - run_;
-    run_ = kNone;
-  }
-
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<Run> runs_;
-  std::size_t run_ = kNone;
-  std::uint64_t kept_ = 0;
+/// One row of the select table: the set lanes of a W-bit movemask in
+/// ascending order (unused slots 0), and how many there are.
+template <std::size_t W>
+struct SelectRow {
+  std::array<std::uint32_t, W> lane{};
+  std::uint32_t count = 0;
 };
+
+template <std::size_t W>
+constexpr std::array<SelectRow<W>, (std::size_t{1} << W)> make_select_table() {
+  std::array<SelectRow<W>, (std::size_t{1} << W)> table{};
+  for (std::size_t m = 0; m < table.size(); ++m)
+    for (std::uint32_t b = 0; b < W; ++b)
+      if (m & (std::size_t{1} << b)) table[m].lane[table[m].count++] = b;
+  return table;
+}
+
+template <std::size_t W>
+inline constexpr auto kSelectTable = make_select_table<W>();
 
 /// Scalar range check against the AoS record — exactly the fused
 /// kernel's hoisted-filter loop (NaN passes: `!(v < lo || v > hi)`).
@@ -124,42 +104,46 @@ struct BoxMask {
   typename T::Reg lox, hix, loy, hiy, loz, hiz;
 };
 
+/// Ascending indices of the records a kernel keeps: `idx[0, count)`.
+struct Selection {
+  std::unique_ptr<std::uint32_t[]> idx;
+  std::size_t count = 0;
+};
+
+/// The select pass: the indices of the mirrored records inside `box`.
+/// Every vector stores all W lanes and advances by the mask's popcount,
+/// so the next store overwrites the unused slots; `count` never passes
+/// the vector's start, so each store stays inside the list, which is as
+/// long as the vector loop. The NaN padding of the mirror's tail fails
+/// every ordered compare, so the loop covers the ragged tail and padding
+/// lanes are never counted.
 template <class T>
-std::uint64_t filter_box_body(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out) {
+Selection select_in_box(const PositionMirror& mirror, const Box3& box) {
   constexpr std::size_t W = T::kLanes;
-  constexpr unsigned kFull = (1u << W) - 1;
-  const std::size_t n = mirror.size();
   const double* xs = mirror.x();
   const double* ys = mirror.y();
   const double* zs = mirror.z();
   const BoxMask<T> mask(box);
-  RunCollector runs;
-
-  // The mirror's tail is NaN-padded to a lane multiple and NaN fails
-  // every ordered compare, so the vector loop covers the ragged tail:
-  // padding lanes read as drops, which also closes a run ending at n.
-  const std::size_t padded = (n + W - 1) / W * W;
+  const std::size_t padded = (mirror.size() + W - 1) / W * W;
+  Selection sel{std::make_unique_for_overwrite<std::uint32_t[]>(padded)};
+  std::uint32_t* idx = sel.idx.get();
   for (std::size_t i = 0; i < padded; i += W) {
-    const unsigned bits = mask.bits(xs, ys, zs, i);
-    if (bits == kFull) {
-      runs.keep(i);
-    } else if (bits == 0) {
-      runs.drop(i);
-    } else {
-      for (std::size_t b = 0; b < W; ++b) {
-        if (bits & (1u << b)) {
-          runs.keep(i + b);
-        } else {
-          runs.drop(i + b);
-        }
-      }
-    }
+    const SelectRow<W>& row = kSelectTable<W>[mask.bits(xs, ys, zs, i)];
+    const auto first = static_cast<std::uint32_t>(i);
+    for (std::size_t j = 0; j < W; ++j)
+      idx[sel.count + j] = first + row.lane[j];
+    sel.count += row.count;
   }
-  const std::uint64_t kept = runs.finish(n);
-  runs.flush(base, record_size, out);
-  return kept;
+  return sel;
+}
+
+template <class T>
+std::uint64_t filter_box_body(const PositionMirror& mirror,
+                              const std::byte* base, const Box3& box,
+                              ParticleBuffer& out) {
+  const Selection sel = select_in_box<T>(mirror, box);
+  out.append_gather(base, sel.idx.get(), sel.count);
+  return sel.count;
 }
 
 template <class T>
@@ -168,36 +152,18 @@ std::uint64_t filter_box_ranges_body(const PositionMirror& mirror,
                                      std::size_t record_size, const Box3& box,
                                      const RangePred* preds,
                                      std::size_t npreds, ParticleBuffer& out) {
-  constexpr std::size_t W = T::kLanes;
-  const std::size_t n = mirror.size();
-  const double* xs = mirror.x();
-  const double* ys = mirror.y();
-  const double* zs = mirror.z();
-  const BoxMask<T> mask(box);
-  RunCollector runs;
-
-  // Box predicate at full vector width over the mirror; only the lanes
-  // it passes pay the scalar range loads from the AoS record. Padding
-  // lanes are NaN, fail the box mask, and so never touch the buffer.
-  const std::size_t padded = (n + W - 1) / W * W;
-  for (std::size_t i = 0; i < padded; i += W) {
-    const unsigned bits = mask.bits(xs, ys, zs, i);
-    if (bits == 0) {
-      runs.drop(i);
-      continue;
-    }
-    for (std::size_t b = 0; b < W; ++b) {
-      const std::size_t idx = i + b;
-      if ((bits & (1u << b)) &&
-          record_passes_ranges(base + idx * record_size, preds, npreds)) {
-        runs.keep(idx);
-      } else {
-        runs.drop(idx);
-      }
-    }
+  const Selection sel = select_in_box<T>(mirror, box);
+  // Only the records the box keeps pay the scalar range loads from the
+  // AoS record; the survivors are compacted in place, still ascending.
+  std::uint32_t* idx = sel.idx.get();
+  std::size_t kept = 0;
+  for (std::size_t t = 0; t < sel.count; ++t) {
+    const std::uint32_t r = idx[t];
+    idx[kept] = r;
+    kept += record_passes_ranges(base + std::size_t{r} * record_size, preds,
+                                 npreds);
   }
-  const std::uint64_t kept = runs.finish(n);
-  runs.flush(base, record_size, out);
+  out.append_gather(base, idx, kept);
   return kept;
 }
 

@@ -7,8 +7,9 @@
 /// range predicates — each position load is a strided gather — so the
 /// read path mirrors positions once per cached file prefix and lets the
 /// SIMD kernels (simd/kernels.hpp) evaluate predicates over the mirror
-/// at full vector width, copying matching runs from the untouched AoS
-/// bytes so output stays byte-identical to the scalar kernels.
+/// at full vector width, copying the matching records from the
+/// untouched AoS bytes so output stays byte-identical to the scalar
+/// kernels.
 ///
 /// Ownership: `PrefixCache` entries hold the mirror next to the prefix
 /// block. Its bytes are charged to the `SPIO_READ_CACHE` budget, it is

@@ -1,5 +1,6 @@
 #include "workload/particle_buffer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace spio {
@@ -28,6 +29,21 @@ void ParticleBuffer::append_bytes(std::span<const std::byte> bytes) {
                                     << " bytes is not a multiple of the "
                                     << record_size_ << "-byte record");
   data_.insert(data_.end(), bytes.begin(), bytes.end());
+}
+
+void ParticleBuffer::append_gather(const std::byte* base,
+                                   const std::uint32_t* idx, std::size_t k) {
+  const std::size_t need = data_.size() + k * record_size_;
+  if (need > data_.capacity())
+    data_.reserve(std::max(need, 2 * data_.capacity()));
+  for (std::size_t t = 0; t < k;) {
+    const std::size_t first = idx[t];
+    std::size_t len = 1;
+    while (t + len < k && idx[t + len] == first + len) ++len;
+    const std::byte* p = base + first * record_size_;
+    data_.insert(data_.end(), p, p + len * record_size_);
+    t += len;
+  }
 }
 
 std::span<const std::byte> ParticleBuffer::record(std::size_t i) const {

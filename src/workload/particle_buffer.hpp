@@ -6,6 +6,7 @@
 /// to the writer, readers return one.
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -56,6 +57,15 @@ class ParticleBuffer {
   void append_records(const std::byte* p, std::size_t count) {
     data_.insert(data_.end(), p, p + count * record_size_);
   }
+
+  /// Append records `base[idx[0]], ..., base[idx[k-1]]` (record indices
+  /// into `base`, a buffer of this schema's records) — the SIMD
+  /// kernels' gather. Grows the buffer at most once (to exactly the
+  /// final size when it had no capacity yet, at least doubling it
+  /// otherwise), then copies each run of consecutive indices with one
+  /// `insert`.
+  void append_gather(const std::byte* base, const std::uint32_t* idx,
+                     std::size_t k);
 
   /// Read-only view of record `i`.
   std::span<const std::byte> record(std::size_t i) const;

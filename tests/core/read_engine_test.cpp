@@ -4,9 +4,10 @@
 ///      `*_reference` oracles on randomized schemas, boxes and filters
 ///      (NaNs included),
 ///   2. every query entry point returns byte-identical output under any
-///      engine configuration (pool size, cache budget) — the serial
-///      reference path is THE semantics, the engine only reproduces it
-///      faster,
+///      engine configuration (pool size, cache budget, SIMD level) — the
+///      serial reference path is THE semantics, the engine only
+///      reproduces it faster — and a collected result is exactly the
+///      plan-order concatenation of its per-file chunks,
 ///   3. the buffer cache counts hits/misses/evictions correctly, a zero
 ///      budget reproduces plain reads exactly, and entries are never
 ///      served stale after a dataset is rewritten in place,
@@ -291,6 +292,95 @@ TEST_F(ReadEngineQueries, EveryEntryPointIsByteIdenticalAcrossConfigs) {
       });
       EXPECT_TRUE(same_bytes(streamed.bytes(), want_box.bytes()))
           << "stream_box threads=" << c.threads << " budget=" << c.budget;
+    }
+  }
+}
+
+/// The collected result of every materializing entry point is the
+/// plan-order concatenation of each planned file's prefix through the
+/// `*_reference` kernels, byte for byte, whatever shape its chunks take:
+/// one file (the chunk is moved out as the result), chunks that are all
+/// empty, and whole-file fast-path chunks mixed with filtered ones — at
+/// every pool size and cache budget, on the SIMD kernels and under a
+/// scalar cap.
+TEST_F(ReadEngineQueries, CollectedResultIsPlanOrderConcatOfReferenceChunks) {
+  const Dataset ds = Dataset::open(dir_->path());
+  const Schema& schema = ds.metadata().schema;
+  const std::vector<Dataset::RangeFilter> filters{
+      {schema.index_of("density"), 0, 990.0, 1050.0}};
+
+  const auto oracle = [&](const std::vector<FilePlan>& plan, const Box3& box,
+                          std::span<const Dataset::RangeFilter> f) {
+    EngineConfig serial(1, 0);
+    ParticleBuffer out(schema);
+    for (const FilePlan& p : plan) {
+      const Dataset::FilePrefix prefix =
+          ds.fetch_file_records(p.file, p.fetch_records, nullptr);
+      if (f.empty())
+        read_detail::filter_box_reference(prefix.bytes(), schema, box, out);
+      else
+        read_detail::filter_box_ranges_reference(prefix.bytes(), schema, box,
+                                                 f, out);
+    }
+    return out;
+  };
+  std::vector<FilePlan> every_file;
+  for (int fi = 0; fi < ds.file_count(); ++fi) {
+    const std::uint64_t n =
+        ds.metadata().files[static_cast<std::size_t>(fi)].particle_count;
+    every_file.push_back({fi, n, n});
+  }
+
+  // The patches are the octants of the unit cube, one file each.
+  const double eps = 1e-9;
+  const Box3 one_file({0.1, 0.1, 0.1}, {0.4, 0.4, 0.4});
+  const Box3 empty_probe({0.5 - eps, 0.5 - eps, 0.5 - eps},
+                         {0.5 + eps, 0.5 + eps, 0.5 + eps});
+  const Box3 mixed({-0.1, -0.1, -0.1}, {0.75, 1.1, 1.1});
+  ASSERT_EQ(ds.plan_query(one_file, {}).files.size(), 1u);
+  ASSERT_EQ(oracle(every_file, empty_probe, {}).size(), 0u);
+  std::size_t whole = 0;
+  const std::vector<FilePlan> mixed_plan = ds.plan_query(mixed, {}).files;
+  for (const FilePlan& p : mixed_plan)
+    whole += mixed.contains_box(
+        ds.metadata().files[static_cast<std::size_t>(p.file)].bounds);
+  ASSERT_GT(whole, 0u);
+  ASSERT_LT(whole, mixed_plan.size());
+
+  std::vector<simd::Level> levels{simd::active_level()};
+  if (levels.front() != simd::Level::kScalar)
+    levels.push_back(simd::Level::kScalar);
+  for (const Box3& box : {one_file, empty_probe, mixed}) {
+    const ParticleBuffer want_box =
+        oracle(ds.plan_query(box, {}).files, box, {});
+    const ParticleBuffer want_rq =
+        oracle(ds.plan_query(box, filters).files, box, filters);
+    const ParticleBuffer want_scan = oracle(every_file, box, {});
+    for (const int threads : {1, 4}) {
+      for (const std::uint64_t budget : {0ull, 64ull << 20}) {
+        EngineConfig cfg(threads, budget);
+        for (const simd::Level level : levels) {
+          simd::ScopedLevelCap cap(level);
+          ReadEngine::instance().clear_cache();
+          for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+            const std::string where =
+                "box " + std::to_string(box.lo.x) + ".." +
+                std::to_string(box.hi.x) + " threads=" +
+                std::to_string(threads) + " budget=" + std::to_string(budget) +
+                " level=" + simd::level_name(level) +
+                " pass=" + std::to_string(pass);
+            EXPECT_TRUE(same_bytes(ds.query_box(box).bytes(),
+                                   want_box.bytes()))
+                << "query_box " << where;
+            EXPECT_TRUE(same_bytes(ds.query(box, filters).bytes(),
+                                   want_rq.bytes()))
+                << "query " << where;
+            EXPECT_TRUE(same_bytes(ds.query_box_scan_all(box).bytes(),
+                                   want_scan.bytes()))
+                << "query_box_scan_all " << where;
+          }
+        }
+      }
     }
   }
 }

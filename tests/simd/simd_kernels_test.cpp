@@ -27,6 +27,7 @@
 #include <iterator>
 #include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/read_engine.hpp"
@@ -234,6 +235,163 @@ TEST(SimdKernels, FilterBoxRangesMatchesReferenceIncludingNaNAndEdges) {
           << simd::level_name(level) << " round " << round;
     }
   }
+}
+
+/// Uintah-like records with one f64 and one two-component f32 attribute,
+/// both uniform in [0, 1): the sweep's range filters cover both element
+/// types and pass about 81% of the records between them.
+Schema sweep_schema() {
+  return Schema({{"position", FieldType::kF64, 3},
+                 {"a", FieldType::kF64, 1},
+                 {"b", FieldType::kF32, 2}});
+}
+
+std::vector<RangeFilter> sweep_filters() {
+  return {{1, 0, 0.05, 0.95}, {2, 1, 0.1, 1.0}};
+}
+
+ParticleBuffer sweep_buffer(std::size_t n, Xoshiro256& rng) {
+  auto buf = workload::uniform(sweep_schema(), Box3::unit(), n, rng.next(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    buf.set_f64(i, 1, 0, rng.uniform(0, 1));
+    buf.set_f32(i, 2, 1, static_cast<float>(rng.uniform(0, 1)));
+  }
+  return buf;
+}
+
+std::vector<simd::RangePred> preds_of(const Schema& schema,
+                                      std::span<const RangeFilter> filters) {
+  std::vector<simd::RangePred> preds;
+  for (const RangeFilter& f : filters) {
+    const FieldDesc& fd = schema.fields()[f.field];
+    preds.push_back({schema.offset(f.field) +
+                         f.component * field_type_size(fd.type),
+                     fd.type == FieldType::kF64, f.lo, f.hi});
+  }
+  return preds;
+}
+
+/// Both SIMD kernels at each of `levels` against their oracles on `buf`;
+/// with no level reachable, both must decline and leave `out` empty.
+void expect_kernels_match(const ParticleBuffer& buf, const Box3& box,
+                          std::span<const RangeFilter> filters,
+                          const std::vector<simd::Level>& levels,
+                          const std::string& where) {
+  const Schema& schema = buf.schema();
+  const auto mirror = mirror_of(buf);
+  const std::vector<simd::RangePred> preds = preds_of(schema, filters);
+  ParticleBuffer ref_box(schema), ref_rq(schema);
+  const auto nbox =
+      read_detail::filter_box_reference(buf.bytes(), schema, box, ref_box);
+  const auto nrq = read_detail::filter_box_ranges_reference(
+      buf.bytes(), schema, box, filters, ref_rq);
+  for (const simd::Level level : levels) {
+    simd::ScopedLevelCap cap(level);
+    ParticleBuffer out_box(schema), out_rq(schema);
+    std::uint64_t kbox = 0, krq = 0;
+    ASSERT_TRUE(simd::filter_box(*mirror, buf.bytes(), schema.record_size(),
+                                 box, out_box, &kbox))
+        << where;
+    ASSERT_TRUE(simd::filter_box_ranges(*mirror, buf.bytes(),
+                                        schema.record_size(), box, preds,
+                                        out_rq, &krq))
+        << where;
+    EXPECT_EQ(kbox, nbox) << simd::level_name(level) << " " << where;
+    EXPECT_EQ(krq, nrq) << simd::level_name(level) << " " << where;
+    EXPECT_TRUE(same_bytes(ref_box.bytes(), out_box.bytes()))
+        << "filter_box " << simd::level_name(level) << " " << where;
+    EXPECT_TRUE(same_bytes(ref_rq.bytes(), out_rq.bytes()))
+        << "filter_box_ranges " << simd::level_name(level) << " " << where;
+  }
+  if (levels.empty()) {
+    ParticleBuffer out(schema);
+    EXPECT_FALSE(simd::filter_box(*mirror, buf.bytes(), schema.record_size(),
+                                  box, out, nullptr));
+    EXPECT_FALSE(simd::filter_box_ranges(*mirror, buf.bytes(),
+                                         schema.record_size(), box, preds,
+                                         out, nullptr));
+    EXPECT_EQ(out.size(), 0u);
+  }
+}
+
+/// The selectivities a query meets — none, LOD-sparse, dense and all —
+/// over every record count from empty through two full vectors plus a
+/// ragged lane at the widest level (W = 4), and over a few thousand
+/// records with every `n mod 8` tail.
+TEST(SimdKernels, SweepMatchesReferenceAcrossSelectivityAndLength) {
+  Xoshiro256 rng(610);
+  const std::vector<RangeFilter> filters = sweep_filters();
+  struct Selectivity {
+    const char* name;
+    Box3 box;
+  };
+  const Selectivity boxes[] = {
+      {"0%", Box3({2, 2, 2}, {3, 3, 3})},
+      {"2.7%", Box3({0, 0, 0}, {0.3, 0.3, 0.3})},
+      {"12.5%", Box3({0.25, 0.25, 0.25}, {0.75, 0.75, 0.75})},
+      {"50%", Box3({0, 0, 0}, {0.5, 1, 1})},
+      {"95%", Box3({0, 0, 0}, {0.95, 1, 1})},
+      {"100%", Box3({-1, -1, -1}, {2, 2, 2})},
+  };
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 0; n <= 2 * 4 + 1; ++n) counts.push_back(n);
+  for (std::size_t n = 3000; n < 3008; ++n) counts.push_back(n);
+  for (const std::size_t n : counts) {
+    const ParticleBuffer buf = sweep_buffer(n, rng);
+    for (const Selectivity& sel : boxes)
+      expect_kernels_match(buf, sel.box, filters, reachable_levels(),
+                           "n=" + std::to_string(n) + " box " + sel.name);
+  }
+}
+
+/// Positions laid out so that vector v of a W-lane kernel sees the
+/// in-box mask v mod 2^W: every row of the select table is taken twice,
+/// between rows of every other popcount, and a ragged tail follows.
+TEST(SimdKernels, EveryMaskRowSelectsExactlyItsLanes) {
+  Xoshiro256 rng(611);
+  const Box3 box({0, 0, 0}, {0.5, 0.5, 0.5});
+  for (const simd::Level level : reachable_levels()) {
+    const std::size_t w = level == simd::Level::kAVX2 ? 4 : 2;
+    const std::size_t rows = std::size_t{1} << w;
+    const std::size_t n = 2 * rows * w + w - 1;
+    ParticleBuffer buf = sweep_buffer(n, rng);
+    for (std::size_t r = 0; r < n; ++r) {
+      const bool in = ((r / w) % rows >> (r % w)) & 1;
+      const double c = rng.uniform(0, 0.5);
+      buf.set_position(r, in ? Vec3d{c, 0.25, 0.25} : Vec3d{c, 0.25, 0.75});
+    }
+    expect_kernels_match(buf, box, sweep_filters(), {level},
+                         std::string("mask rows at ") +
+                             simd::level_name(level));
+  }
+}
+
+TEST(ParticleBufferGather, AppendGatherCopiesIndexedRecordsInOrder) {
+  Xoshiro256 rng(612);
+  const Schema schema = random_schema(rng);
+  const ParticleBuffer src =
+      workload::uniform(schema, Box3::unit(), 16, rng.next(), 0);
+  const auto expect_gather = [&](ParticleBuffer out,
+                                 const std::vector<std::uint32_t>& idx) {
+    ParticleBuffer want(schema);
+    want.append_bytes(out.bytes());
+    for (const std::uint32_t i : idx) want.append_from(src, i);
+    out.append_gather(src.bytes().data(), idx.data(), idx.size());
+    EXPECT_TRUE(same_bytes(want.bytes(), out.bytes()))
+        << idx.size() << " indices onto " << want.size() - idx.size()
+        << " records";
+  };
+  ParticleBuffer empty(schema);
+  expect_gather(empty, {});
+  expect_gather(empty, {5});
+  // Adjacent indices merge into runs; the runs start and end anywhere,
+  // including the first and last record.
+  expect_gather(empty, {0, 1, 2, 4, 9, 10, 15});
+  ParticleBuffer started(schema);
+  started.append_from(src, 3);
+  started.append_from(src, 3);
+  expect_gather(started, {});
+  expect_gather(started, {7, 8, 12, 13, 14});
 }
 
 // ---- 2. dispatch wrappers ----------------------------------------------
