@@ -17,11 +17,6 @@ namespace spio {
 
 namespace {
 
-/// Default LRU budget when `SPIO_READ_CACHE` is unset: enough for the
-/// working set of a laptop-scale analysis session, small next to the
-/// datasets the paper targets.
-constexpr std::uint64_t kDefaultCacheBytes = 256ull << 20;
-
 int default_concurrency() {
   if (const char* env = std::getenv("SPIO_READ_THREADS")) {
     const int n = std::atoi(env);
@@ -37,7 +32,9 @@ std::uint64_t default_cache_budget() {
     std::uint64_t bytes = 0;
     if (read_detail::parse_size_bytes(env, &bytes)) return bytes;
   }
-  return kDefaultCacheBytes;
+  // Enough for the working set of a laptop-scale analysis session,
+  // small next to the datasets the paper targets.
+  return ReadEngine::kDefaultCacheBytes;
 }
 
 int default_cache_shards() {
@@ -45,7 +42,7 @@ int default_cache_shards() {
     const int n = std::atoi(env);
     if (n >= 1) return n;
   }
-  return 8;
+  return ReadEngine::kDefaultCacheShards;
 }
 
 /// Windowed disk-fetch latency (leader and bypass reads only — hits and
@@ -492,8 +489,8 @@ std::uint64_t filter_box_dispatch(std::span<const std::byte> bytes,
   if (mirror && simd::active_level() != simd::Level::kScalar) {
     std::uint64_t kept = 0;
     obs::ScopedSpan span(dispatch_span_name(true), "kernel");
-    if (simd::filter_box(*mirror, bytes, schema.record_size(), box, out,
-                         &kept)) {
+    if (simd::filter_box(*mirror, bytes, schema.record_size(),
+                         schema.offset(0), box, out, &kept)) {
       count_dispatch(true);
       return kept;
     }
@@ -518,8 +515,8 @@ std::uint64_t filter_box_ranges_dispatch(std::span<const std::byte> bytes,
       preds.push_back({h.offset, h.is_f64, h.lo, h.hi});
     std::uint64_t kept = 0;
     obs::ScopedSpan span(dispatch_span_name(true), "kernel");
-    if (simd::filter_box_ranges(*mirror, bytes, schema.record_size(), box,
-                                preds, out, &kept)) {
+    if (simd::filter_box_ranges(*mirror, bytes, schema.record_size(),
+                                schema.offset(0), box, preds, out, &kept)) {
       count_dispatch(true);
       return kept;
     }

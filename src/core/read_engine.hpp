@@ -155,6 +155,11 @@ class ReadEngine {
   /// Maximum concurrent per-file reads (1 = serial, inline).
   int concurrency() const;
 
+  /// The cache budget and shard count when `SPIO_READ_CACHE` /
+  /// `SPIO_CACHE_SHARDS` are unset.
+  static constexpr std::uint64_t kDefaultCacheBytes = 256ull << 20;
+  static constexpr int kDefaultCacheShards = 8;
+
   bool cache_enabled() const;
   std::uint64_t cache_budget() const;
   /// Aggregated over shards, plus the engine's single-flight counters.

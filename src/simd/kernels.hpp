@@ -15,16 +15,17 @@
 /// Every entry point is a *try*: it returns false — leaving `out`
 /// untouched — when no SIMD path is available (`active_level()` is
 /// `kScalar`: non-x86 build, `SPIO_SIMD=off`, or a test cap), when the
-/// mirror does not describe `bytes` (count or record-size mismatch), or
-/// when it holds more records than a `u32` index can name. Callers fall
-/// back to the fused scalar kernels; `read_detail::*_dispatch` in
-/// core/read_engine.hpp does exactly that and counts
-/// `kernel.simd_{hits,fallbacks}`.
+/// mirror does not describe `bytes` (count, record-size or
+/// position-offset mismatch), or when it holds more records than a `u32`
+/// index can name. Callers fall back to the fused scalar kernels;
+/// `read_detail::*_dispatch` in core/read_engine.hpp does exactly that
+/// and counts `kernel.simd_{hits,fallbacks}`.
 ///
-/// Comparison semantics are pinned to the scalar kernels exactly:
-/// ordered-quiet SIMD compares, so NaN coordinates match no box (as with
-/// scalar `>=`/`<`), range predicates pass NaN attribute values (scalar
-/// `!(v < lo || v > hi)`).
+/// Comparison semantics are pinned to the scalar kernels exactly: the
+/// f32 mirror lanes only pre-decide the box test (ordered compares, so
+/// NaN matches no box), and records within one f32 ulp of a face get
+/// the scalar f64 test on the AoS position; range predicates pass NaN
+/// attribute values (scalar `!(v < lo || v > hi)`).
 
 #include <cstddef>
 #include <cstdint>
@@ -47,14 +48,16 @@ struct RangePred {
   double hi = 0;
 };
 
-/// SIMD `filter_box`: append every record of `bytes` whose mirrored
+/// SIMD `filter_box`: append every record of `bytes` (records of
+/// `record_size` bytes, the f64x3 position at `position_offset`) whose
 /// position lies in `box` (half-open) to `out`; `*kept` gets the count.
 /// Returns false (no-op) when dispatch lands on the scalar level,
-/// `mirror.size() != bytes.size() / record_size`, `out` holds records of
+/// `mirror.size() != bytes.size() / record_size`, the mirror was built
+/// at another record size or position offset, `out` holds records of
 /// another size, or `mirror.size()` exceeds `UINT32_MAX`.
 bool filter_box(const PositionMirror& mirror, std::span<const std::byte> bytes,
-                std::size_t record_size, const Box3& box, ParticleBuffer& out,
-                std::uint64_t* kept);
+                std::size_t record_size, std::size_t position_offset,
+                const Box3& box, ParticleBuffer& out, std::uint64_t* kept);
 
 /// SIMD `filter_box_ranges`: the box predicate runs at full vector width
 /// over the mirror; surviving lanes evaluate the (rarely more than one
@@ -62,8 +65,8 @@ bool filter_box(const PositionMirror& mirror, std::span<const std::byte> bytes,
 /// `filter_box`.
 bool filter_box_ranges(const PositionMirror& mirror,
                        std::span<const std::byte> bytes,
-                       std::size_t record_size, const Box3& box,
-                       std::span<const RangePred> preds, ParticleBuffer& out,
-                       std::uint64_t* kept);
+                       std::size_t record_size, std::size_t position_offset,
+                       const Box3& box, std::span<const RangePred> preds,
+                       ParticleBuffer& out, std::uint64_t* kept);
 
 }  // namespace spio::simd

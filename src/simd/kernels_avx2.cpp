@@ -20,16 +20,18 @@ namespace detail {
 namespace {
 
 struct TraitsAVX2 {
-  static constexpr std::size_t kLanes = 4;
-  using Reg = __m256d;
-  static Reg load(const double* p) { return _mm256_loadu_pd(p); }
-  static Reg set1(double v) { return _mm256_set1_pd(v); }
+  static constexpr std::size_t kLanes = 8;
+  using Reg = __m256;
+  static Reg load(const float* p) { return _mm256_loadu_ps(p); }
+  static Reg set1(float v) { return _mm256_set1_ps(v); }
   // Ordered-quiet predicates: NaN compares false, as scalar `>=`/`<`.
-  static Reg cmp_ge(Reg a, Reg b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
-  static Reg cmp_lt(Reg a, Reg b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
-  static Reg and_(Reg a, Reg b) { return _mm256_and_pd(a, b); }
+  static Reg cmp_ge(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_GE_OQ); }
+  static Reg cmp_gt(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  static Reg cmp_le(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_LE_OQ); }
+  static Reg cmp_lt(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
+  static Reg and_(Reg a, Reg b) { return _mm256_and_ps(a, b); }
   static unsigned movemask(Reg m) {
-    return static_cast<unsigned>(_mm256_movemask_pd(m));
+    return static_cast<unsigned>(_mm256_movemask_ps(m));
   }
 };
 
@@ -42,12 +44,11 @@ std::uint64_t filter_box_avx2(const PositionMirror& mirror,
 }
 
 std::uint64_t filter_box_ranges_avx2(const PositionMirror& mirror,
-                                     const std::byte* base,
-                                     std::size_t record_size, const Box3& box,
+                                     const std::byte* base, const Box3& box,
                                      const RangePred* preds, std::size_t npreds,
                                      ParticleBuffer& out) {
-  return filter_box_ranges_body<TraitsAVX2>(mirror, base, record_size, box,
-                                            preds, npreds, out);
+  return filter_box_ranges_body<TraitsAVX2>(mirror, base, box, preds,
+                                            npreds, out);
 }
 
 }  // namespace detail
@@ -70,9 +71,8 @@ std::uint64_t filter_box_avx2(const PositionMirror&, const std::byte*,
 }
 
 std::uint64_t filter_box_ranges_avx2(const PositionMirror&, const std::byte*,
-                                     std::size_t, const Box3&,
-                                     const RangePred*, std::size_t,
-                                     ParticleBuffer&) {
+                                     const Box3&, const RangePred*,
+                                     std::size_t, ParticleBuffer&) {
   std::abort();
 }
 

@@ -32,13 +32,11 @@ std::uint64_t filter_box_avx2(const PositionMirror& mirror,
                               ParticleBuffer& out);
 
 std::uint64_t filter_box_ranges_sse2(const PositionMirror& mirror,
-                                     const std::byte* base,
-                                     std::size_t record_size, const Box3& box,
+                                     const std::byte* base, const Box3& box,
                                      const RangePred* preds, std::size_t npreds,
                                      ParticleBuffer& out);
 std::uint64_t filter_box_ranges_avx2(const PositionMirror& mirror,
-                                     const std::byte* base,
-                                     std::size_t record_size, const Box3& box,
+                                     const std::byte* base, const Box3& box,
                                      const RangePred* preds, std::size_t npreds,
                                      ParticleBuffer& out);
 

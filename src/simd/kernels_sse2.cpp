@@ -25,15 +25,18 @@ namespace detail {
 namespace {
 
 struct TraitsSSE2 {
-  static constexpr std::size_t kLanes = 2;
-  using Reg = __m128d;
-  static Reg load(const double* p) { return _mm_loadu_pd(p); }
-  static Reg set1(double v) { return _mm_set1_pd(v); }
-  static Reg cmp_ge(Reg a, Reg b) { return _mm_cmpge_pd(a, b); }
-  static Reg cmp_lt(Reg a, Reg b) { return _mm_cmplt_pd(a, b); }
-  static Reg and_(Reg a, Reg b) { return _mm_and_pd(a, b); }
+  static constexpr std::size_t kLanes = 4;
+  using Reg = __m128;
+  static Reg load(const float* p) { return _mm_loadu_ps(p); }
+  static Reg set1(float v) { return _mm_set1_ps(v); }
+  // CMPPS's ordered predicates: NaN compares false, as scalar `>=`/`<`.
+  static Reg cmp_ge(Reg a, Reg b) { return _mm_cmpge_ps(a, b); }
+  static Reg cmp_gt(Reg a, Reg b) { return _mm_cmpgt_ps(a, b); }
+  static Reg cmp_le(Reg a, Reg b) { return _mm_cmple_ps(a, b); }
+  static Reg cmp_lt(Reg a, Reg b) { return _mm_cmplt_ps(a, b); }
+  static Reg and_(Reg a, Reg b) { return _mm_and_ps(a, b); }
   static unsigned movemask(Reg m) {
-    return static_cast<unsigned>(_mm_movemask_pd(m));
+    return static_cast<unsigned>(_mm_movemask_ps(m));
   }
 };
 
@@ -46,12 +49,11 @@ std::uint64_t filter_box_sse2(const PositionMirror& mirror,
 }
 
 std::uint64_t filter_box_ranges_sse2(const PositionMirror& mirror,
-                                     const std::byte* base,
-                                     std::size_t record_size, const Box3& box,
+                                     const std::byte* base, const Box3& box,
                                      const RangePred* preds, std::size_t npreds,
                                      ParticleBuffer& out) {
-  return filter_box_ranges_body<TraitsSSE2>(mirror, base, record_size, box,
-                                            preds, npreds, out);
+  return filter_box_ranges_body<TraitsSSE2>(mirror, base, box, preds,
+                                            npreds, out);
 }
 
 }  // namespace detail
@@ -73,9 +75,8 @@ std::uint64_t filter_box_sse2(const PositionMirror&, const std::byte*,
 }
 
 std::uint64_t filter_box_ranges_sse2(const PositionMirror&, const std::byte*,
-                                     std::size_t, const Box3&,
-                                     const RangePred*, std::size_t,
-                                     ParticleBuffer&) {
+                                     const Box3&, const RangePred*,
+                                     std::size_t, ParticleBuffer&) {
   std::abort();
 }
 

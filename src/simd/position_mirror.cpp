@@ -9,16 +9,18 @@ namespace spio {
 
 namespace {
 
-/// Widest kernel lane count we pad for (AVX2 f64x4 today; 8 leaves room
-/// for an AVX-512 TU without a mirror format change).
+/// Widest kernel lane count we pad for (AVX2 f32x8).
 constexpr std::size_t kPadLanes = 8;
+
+std::size_t padded_count(std::size_t count) {
+  const std::size_t padded = (count + kPadLanes - 1) / kPadLanes * kPadLanes;
+  return padded == 0 ? kPadLanes : padded;
+}
 
 }  // namespace
 
 std::uint64_t PositionMirror::bytes_for_count(std::size_t count) {
-  std::size_t padded = (count + kPadLanes - 1) / kPadLanes * kPadLanes;
-  if (padded == 0) padded = kPadLanes;
-  return static_cast<std::uint64_t>(3 * padded * sizeof(double));
+  return static_cast<std::uint64_t>(3 * padded_count(count) * sizeof(float));
 }
 
 std::shared_ptr<const PositionMirror> PositionMirror::build(
@@ -27,22 +29,21 @@ std::shared_ptr<const PositionMirror> PositionMirror::build(
   SPIO_EXPECTS(record_size > 0 && bytes.size() % record_size == 0);
   SPIO_EXPECTS(position_offset + 3 * sizeof(double) <= record_size);
   const std::size_t n = bytes.size() / record_size;
-  const std::size_t padded = (n + kPadLanes - 1) / kPadLanes * kPadLanes;
-  auto mirror = std::shared_ptr<PositionMirror>(
-      new PositionMirror(n, padded == 0 ? kPadLanes : padded));
+  auto mirror = std::shared_ptr<PositionMirror>(new PositionMirror(
+      n, padded_count(n), record_size, position_offset));
 
-  double* xs = mirror->lanes_.get();
-  double* ys = xs + mirror->padded_;
-  double* zs = ys + mirror->padded_;
+  float* xs = mirror->lanes_.get();
+  float* ys = xs + mirror->padded_;
+  float* zs = ys + mirror->padded_;
   const std::byte* p = bytes.data() + position_offset;
   for (std::size_t i = 0; i < n; ++i, p += record_size) {
     double v[3];
     std::memcpy(v, p, sizeof v);
-    xs[i] = v[0];
-    ys[i] = v[1];
-    zs[i] = v[2];
+    xs[i] = static_cast<float>(v[0]);
+    ys[i] = static_cast<float>(v[1]);
+    zs[i] = static_cast<float>(v[2]);
   }
-  const double pad = std::numeric_limits<double>::quiet_NaN();
+  const float pad = std::numeric_limits<float>::quiet_NaN();
   for (std::size_t i = n; i < mirror->padded_; ++i) {
     xs[i] = pad;
     ys[i] = pad;

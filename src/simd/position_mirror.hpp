@@ -1,15 +1,25 @@
 #pragma once
 
 /// \file position_mirror.hpp
-/// The SoA position mirror: three contiguous f64 arrays (x, y, z)
-/// shadowing the position columns of one AoS record buffer. The 124 B
-/// AoS record layout (paper §5.1) defeats vectorization of the box and
-/// range predicates — each position load is a strided gather — so the
-/// read path mirrors positions once per cached file prefix and lets the
-/// SIMD kernels (simd/kernels.hpp) evaluate predicates over the mirror
-/// at full vector width, copying the matching records from the
-/// untouched AoS bytes so output stays byte-identical to the scalar
-/// kernels.
+/// The SoA position mirror: three contiguous f32 arrays (x, y, z)
+/// shadowing the f64 position columns of one AoS record buffer. The
+/// 124 B AoS record layout (paper §5.1) defeats vectorization of the box
+/// and range predicates — each position load is a strided gather — so
+/// the read path mirrors positions once per cached file prefix and lets
+/// the SIMD kernels (simd/kernels.hpp) evaluate predicates over the
+/// mirror at full vector width, copying the matching records from the
+/// untouched AoS bytes.
+///
+/// Each lane is `static_cast<float>` of its f64 coordinate (round to
+/// nearest: monotone, overflowing to ±inf, NaN kept NaN), so the mirror
+/// is an *index*, not a copy: it decides every record except those
+/// whose rounded coordinate equals a rounded box face, which the kernels
+/// settle with the exact f64 test on the AoS record (see
+/// kernels_x86_body.hpp). That
+/// recheck is why the mirror records the `record_size` and
+/// `position_offset` it was built with; the kernels decline a call that
+/// names another layout. Output stays byte-identical to the scalar
+/// kernels, and the mirror costs 12 B per record.
 ///
 /// Ownership: `PrefixCache` entries hold the mirror next to the prefix
 /// block. Its bytes are charged to the `SPIO_READ_CACHE` budget, it is
@@ -37,25 +47,32 @@ class PositionMirror {
 
   /// Mirrored record count (excluding padding).
   std::size_t size() const { return count_; }
+  /// The AoS layout the mirror was built from.
+  std::size_t record_size() const { return record_size_; }
+  std::size_t position_offset() const { return position_offset_; }
   /// Allocated bytes — what the cache charges against its budget.
   std::uint64_t byte_size() const {
-    return static_cast<std::uint64_t>(3 * padded_ * sizeof(double));
+    return static_cast<std::uint64_t>(3 * padded_ * sizeof(float));
   }
   /// What `build` over `count` records will allocate (and the cache
   /// charge) — budget arithmetic for tests and admission math.
   static std::uint64_t bytes_for_count(std::size_t count);
 
-  const double* x() const { return lanes_.get(); }
-  const double* y() const { return lanes_.get() + padded_; }
-  const double* z() const { return lanes_.get() + 2 * padded_; }
+  const float* x() const { return lanes_.get(); }
+  const float* y() const { return lanes_.get() + padded_; }
+  const float* z() const { return lanes_.get() + 2 * padded_; }
 
  private:
-  PositionMirror(std::size_t count, std::size_t padded)
-      : lanes_(new double[3 * padded]), count_(count), padded_(padded) {}
+  PositionMirror(std::size_t count, std::size_t padded,
+                 std::size_t record_size, std::size_t position_offset)
+      : lanes_(new float[3 * padded]), count_(count), padded_(padded),
+        record_size_(record_size), position_offset_(position_offset) {}
 
-  std::unique_ptr<double[]> lanes_;  // [x | y | z], each `padded_` long
+  std::unique_ptr<float[]> lanes_;  // [x | y | z], each `padded_` long
   std::size_t count_;
   std::size_t padded_;
+  std::size_t record_size_;
+  std::size_t position_offset_;
 };
 
 }  // namespace spio

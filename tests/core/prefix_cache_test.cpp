@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "core/prefix_cache.hpp"
+#include "core/read_engine.hpp"
 #include "simd/position_mirror.hpp"
 #include "util/rng.hpp"
+#include "workload/schema.hpp"
 
 namespace spio {
 namespace {
@@ -314,6 +316,51 @@ TEST(PrefixCacheProperty, ChargeEqualsEvictExactlyWhenAllInsertsAdmitted) {
           << "shards " << shards << " seed " << seed;
     }
   }
+}
+
+/// The capacity arithmetic `explore`'s cache rests on. A mirror costs
+/// 12 B per record (three f32 lanes), so a 60 000-record Uintah prefix
+/// (7.44 MB) and its mirror charge 8.16 MB, and four of them fit one
+/// shard of the engine's default budget (256 MiB over 8 shards,
+/// 33.55 MB each); a fifth evicts. With f64 lanes (24 B per record, an
+/// entry of 8.88 MB) the shard held three.
+TEST(PrefixCacheProperty, FourUintahPrefixesWithMirrorsFitOneDefaultShard) {
+  constexpr std::size_t kRecords = 60000;
+  EXPECT_EQ(PositionMirror::bytes_for_count(kRecords), 720000u);
+
+  const std::size_t record = Schema::uintah().record_size();
+  const std::size_t prefix = kRecords * record;
+  ShardedPrefixCache cache(ReadEngine::kDefaultCacheBytes,
+                           ReadEngine::kDefaultCacheShards);
+  const std::uint64_t shard_budget =
+      ReadEngine::kDefaultCacheBytes / ReadEngine::kDefaultCacheShards;
+  EXPECT_GT(4 * (prefix + 2 * PositionMirror::bytes_for_count(kRecords)),
+            shard_budget)
+      << "four entries with f64 mirrors would fit too: the gain is gone";
+
+  // Five keys that route to one shard.
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 5; ++i) {
+    std::string key = "File_" + std::to_string(i) + ".bin";
+    if (keys.empty() || cache.shard_of(key) == cache.shard_of(keys[0]))
+      keys.push_back(std::move(key));
+  }
+  const FileSig sig{prefix, 1};
+  const auto data = std::make_shared<ByteBlock>(prefix);
+  std::memset(data->data(), 0, prefix);
+  const auto mirror = PositionMirror::build(data->span(), record, 0);
+  for (std::size_t k = 0; k < 4; ++k)
+    cache.insert(keys[k], data, sig, mirror);
+  EXPECT_EQ(cache.stats().entries, 4u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::shared_ptr<const PositionMirror> got;
+    EXPECT_NE(cache.lookup(keys[k], sig, &got), nullptr) << keys[k];
+    EXPECT_EQ(got.get(), mirror.get()) << keys[k];
+  }
+  cache.insert(keys[4], data, sig, mirror);
+  EXPECT_EQ(cache.stats().entries, 4u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 /// The staleness guarantee under concurrency: one writer rewrites keys

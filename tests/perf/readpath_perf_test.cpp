@@ -166,7 +166,7 @@ TEST(ReadpathPerf, SimdKernelsBeatFusedScalarFloors) {
           out.clear();
           std::uint64_t kept = 0;
           ASSERT_TRUE(simd::filter_box(*mirror, buf.bytes(),
-                                       schema.record_size(), f.box, out,
+                                       schema.record_size(), schema.offset(0), f.box, out,
                                        &kept));
           ASSERT_GT(kept, 0u);
         });
