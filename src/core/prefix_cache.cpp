@@ -137,51 +137,4 @@ void PrefixCache::shrink_to_locked(std::uint64_t target) {
     evict_locked(std::prev(lru_.end()));
 }
 
-ShardedPrefixCache::ShardedPrefixCache(std::uint64_t total_budget,
-                                       int shards) {
-  const std::size_t n = shards < 1 ? 1 : static_cast<std::size_t>(shards);
-  shards_.reserve(n);
-  const std::uint64_t each = total_budget / n;
-  const std::uint64_t extra = total_budget % n;
-  for (std::size_t i = 0; i < n; ++i)
-    shards_.push_back(
-        std::make_unique<PrefixCache>(each + (i < extra ? 1 : 0)));
-}
-
-void ShardedPrefixCache::clear() {
-  for (auto& s : shards_) s->clear();
-}
-
-std::uint64_t ShardedPrefixCache::budget() const {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s->budget();
-  return total;
-}
-
-void ShardedPrefixCache::set_budget(std::uint64_t bytes) {
-  const std::size_t n = shards_.size();
-  const std::uint64_t each = bytes / n;
-  const std::uint64_t extra = bytes % n;
-  for (std::size_t i = 0; i < n; ++i)
-    shards_[i]->set_budget(each + (i < extra ? 1 : 0));
-}
-
-void ShardedPrefixCache::reset_stats() {
-  for (auto& s : shards_) s->reset_stats();
-}
-
-ReadCacheStats ShardedPrefixCache::stats() const {
-  ReadCacheStats total;
-  for (const auto& s : shards_) {
-    const ReadCacheStats one = s->stats();
-    total.hits += one.hits;
-    total.misses += one.misses;
-    total.evictions += one.evictions;
-    total.bytes_evicted += one.bytes_evicted;
-    total.bytes_held += one.bytes_held;
-    total.entries += one.entries;
-  }
-  return total;
-}
-
 }  // namespace spio

@@ -2,28 +2,17 @@
 
 /// \file prefix_cache.hpp
 /// The read path's file-prefix buffer cache, extracted from ReadEngine
-/// and sharded for concurrent service traffic (docs/PERF.md "Query
-/// service").
+/// (docs/PERF.md "Read path").
 ///
-/// `PrefixCache` is one LRU shard: entries keyed by an opaque string
-/// (the engine uses `path + '\1' + prefix_bytes`), each validated
+/// `PrefixCache` is one LRU behind one mutex: entries keyed by an opaque
+/// string (the engine uses `path + '\1' + prefix_bytes`), each validated
 /// against the file's `(size, mtime)` signature on every hit so a
-/// dataset rewritten in place is never served stale. A byte budget
-/// bounds residency; inserting evicts from the LRU tail.
-///
-/// `ShardedPrefixCache` routes each key to one of N shards by hash
-/// (`SPIO_CACHE_SHARDS`, default 8) so 64 service threads hitting a hot
-/// region contend on N mutexes instead of one. The total budget is
-/// split evenly across shards; the same key always lands on the same
-/// shard, so per-key LRU/staleness semantics are those of the
-/// single-shard cache. What sharding gives up is *global* LRU order —
-/// eviction pressure is per shard — which the differential property
-/// tests (tests/core/prefix_cache_test.cpp) pin down: under an
-/// effectively unbounded budget a sharded cache is op-for-op
-/// indistinguishable from the single-shard reference.
+/// dataset rewritten in place is never served stale. One byte budget
+/// bounds residency across every key; inserting evicts from the LRU
+/// tail.
 ///
 /// Counters (`reader.cache.{hits,misses,bytes_evicted}`) are published
-/// into the metrics registry by the shard that served the operation.
+/// into the metrics registry by the operation that moved them.
 
 #include <cstdint>
 #include <memory>
@@ -32,7 +21,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace spio {
 
@@ -77,7 +65,7 @@ class ByteBlock {
   std::size_t size_;
 };
 
-/// One LRU shard. Thread-safe; every operation takes the shard mutex.
+/// The LRU. Thread-safe; every operation takes the one mutex.
 class PrefixCache {
  public:
   explicit PrefixCache(std::uint64_t budget) : budget_(budget) {}
@@ -143,51 +131,6 @@ class PrefixCache {
   std::uint64_t budget_ = 0;
   std::uint64_t bytes_held_ = 0;
   ReadCacheStats stats_;
-};
-
-/// N independent `PrefixCache` shards behind one facade. Keys route by
-/// `std::hash` of the key string; budgets and stats are aggregated.
-class ShardedPrefixCache {
- public:
-  /// \param total_budget bytes across all shards (split evenly, the
-  ///        first `total % shards` shards get one extra byte).
-  /// \param shards clamped to >= 1.
-  ShardedPrefixCache(std::uint64_t total_budget, int shards);
-
-  std::shared_ptr<const ByteBlock> lookup(
-      const std::string& key, const FileSig& sig,
-      std::shared_ptr<const PositionMirror>* mirror = nullptr) {
-    return shard_for(key).lookup(key, sig, mirror);
-  }
-  void insert(const std::string& key, std::shared_ptr<const ByteBlock> data,
-              const FileSig& sig,
-              std::shared_ptr<const PositionMirror> mirror = nullptr) {
-    shard_for(key).insert(key, std::move(data), sig, std::move(mirror));
-  }
-  void invalidate(const std::string& key) { shard_for(key).invalidate(key); }
-  void clear();
-
-  bool enabled() const { return budget() > 0; }
-  std::uint64_t budget() const;
-  /// Re-split `bytes` across the existing shards, evicting as needed.
-  void set_budget(std::uint64_t bytes);
-
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  std::size_t shard_of(const std::string& key) const {
-    return std::hash<std::string>{}(key) % shards_.size();
-  }
-
-  void reset_stats();
-  /// Aggregated over shards (sum of counters; `singleflight_*` stays 0
-  /// here — the engine owns those).
-  ReadCacheStats stats() const;
-
- private:
-  PrefixCache& shard_for(const std::string& key) {
-    return *shards_[shard_of(key)];
-  }
-
-  std::vector<std::unique_ptr<PrefixCache>> shards_;
 };
 
 }  // namespace spio

@@ -37,14 +37,6 @@ std::uint64_t default_cache_budget() {
   return ReadEngine::kDefaultCacheBytes;
 }
 
-int default_cache_shards() {
-  if (const char* env = std::getenv("SPIO_CACHE_SHARDS")) {
-    const int n = std::atoi(env);
-    if (n >= 1) return n;
-  }
-  return ReadEngine::kDefaultCacheShards;
-}
-
 /// Windowed disk-fetch latency (leader and bypass reads only — hits and
 /// followers are not fetches). Always-on like the service latency
 /// histograms: two clock reads per *disk read* is noise.
@@ -64,8 +56,7 @@ ReadEngine& ReadEngine::instance() {
 }
 
 ReadEngine::ReadEngine()
-    : cache_(std::make_unique<ShardedPrefixCache>(default_cache_budget(),
-                                                  default_cache_shards())),
+    : cache_(default_cache_budget()),
       pool_(std::make_unique<ThreadPool>(default_concurrency())) {}
 
 FileSig ReadEngine::probe(const std::filesystem::path& path) const {
@@ -86,7 +77,7 @@ ReadEngine::Fetched ReadEngine::fetch(const std::filesystem::path& path,
                                       std::uint64_t prefix_bytes,
                                       const FileSig& sig,
                                       const MirrorSpec* mirror) {
-  if (!cache_->enabled() || prefix_bytes == 0) {
+  if (!cache_enabled() || prefix_bytes == 0) {
     run_fetch_hook(path, prefix_bytes);
     Fetched f;
     const auto t0 = std::chrono::steady_clock::now();
@@ -100,7 +91,7 @@ ReadEngine::Fetched ReadEngine::fetch(const std::filesystem::path& path,
       path.string() + '\1' + std::to_string(prefix_bytes);
   std::shared_ptr<const PositionMirror> cached_mirror;
   if (std::shared_ptr<const ByteBlock> data =
-          cache_->lookup(key, sig, &cached_mirror)) {
+          cache_.lookup(key, sig, &cached_mirror)) {
     Fetched f;
     f.shared = std::move(data);
     f.mirror = std::move(cached_mirror);
@@ -163,7 +154,7 @@ ReadEngine::Fetched ReadEngine::fetch(const std::filesystem::path& path,
       built_mirror = PositionMirror::build(data->span(), mirror->record_size,
                                            mirror->position_offset);
     }
-    cache_->insert(key, data, sig, built_mirror);
+    cache_.insert(key, data, sig, built_mirror);
   } catch (...) {
     {
       std::lock_guard lk(sf_mu_);
@@ -201,28 +192,26 @@ ThreadPool& ReadEngine::pool() { return *pool_; }
 
 int ReadEngine::concurrency() const { return pool_->concurrency(); }
 
-bool ReadEngine::cache_enabled() const { return cache_->enabled(); }
+bool ReadEngine::cache_enabled() const { return cache_.budget() > 0; }
 
-std::uint64_t ReadEngine::cache_budget() const { return cache_->budget(); }
+std::uint64_t ReadEngine::cache_budget() const { return cache_.budget(); }
 
 ReadCacheStats ReadEngine::cache_stats() const {
-  ReadCacheStats s = cache_->stats();
+  ReadCacheStats s = cache_.stats();
   std::lock_guard lk(sf_mu_);
   s.singleflight_leaders = sf_leaders_;
   s.singleflight_followers = sf_followers_;
   return s;
 }
 
-int ReadEngine::cache_shards() const { return cache_->shard_count(); }
-
-void ReadEngine::clear_cache() { cache_->clear(); }
+void ReadEngine::clear_cache() { cache_.clear(); }
 
 void ReadEngine::set_cache_budget(std::uint64_t bytes) {
-  cache_->set_budget(bytes);
+  cache_.set_budget(bytes);
 }
 
 void ReadEngine::reset_cache_stats() {
-  cache_->reset_stats();
+  cache_.reset_stats();
   std::lock_guard lk(sf_mu_);
   sf_leaders_ = 0;
   sf_followers_ = 0;
@@ -230,10 +219,6 @@ void ReadEngine::reset_cache_stats() {
 
 void ReadEngine::set_concurrency(int threads) {
   pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-void ReadEngine::set_cache_shards(int shards) {
-  cache_ = std::make_unique<ShardedPrefixCache>(cache_->budget(), shards);
 }
 
 void ReadEngine::set_fetch_hook(FetchHook hook) {

@@ -14,11 +14,12 @@
 ///   2. **File-buffer cache** — an LRU cache of file *prefixes* keyed by
 ///      `(path, prefix_bytes)` with a byte budget
 ///      (`SPIO_READ_CACHE=bytes`, suffixes k/m/g accepted; default
-///      256 MiB; `0` disables), sharded `SPIO_CACHE_SHARDS` ways
-///      (default 8) so concurrent service traffic contends on N mutexes
-///      instead of one — see prefix_cache.hpp. Entries are validated
-///      against the file's (size, mtime) signature on every hit, so a
-///      dataset rewritten in place is never served stale.
+///      256 MiB; `0` disables), one LRU behind one mutex — see
+///      prefix_cache.hpp. The lock covers a map probe, a list splice and
+///      any evictions; the disk read and the mirror build happen outside
+///      it. Entries are validated against the file's (size, mtime)
+///      signature on every hit, so a dataset rewritten in place is never
+///      served stale.
 ///      Counters: `reader.cache.{hits,misses,bytes_evicted}`.
 ///   3. **Single-flight fetch** — concurrent misses on the same
 ///      `(path, prefix_bytes)` are deduplicated: exactly one *leader*
@@ -43,9 +44,8 @@
 ///
 /// Thread safety: `probe`/`fetch` and the cache maintenance hooks are
 /// safe to call from any thread (simmpi ranks share one process and one
-/// engine). `set_concurrency`/`set_cache_shards` swap the pool/cache and
-/// must not race in-flight queries — call them between queries (tests
-/// and benchmarks only).
+/// engine). `set_concurrency` swaps the pool and must not race in-flight
+/// queries — call it between queries (tests only).
 
 #include <chrono>
 #include <condition_variable>
@@ -97,8 +97,7 @@ class ReadEngine {
                                        std::uint64_t)>;
 
   /// The process-wide engine (thread-safe magic static). Configured from
-  /// `SPIO_READ_THREADS` / `SPIO_READ_CACHE` / `SPIO_CACHE_SHARDS` on
-  /// first use.
+  /// `SPIO_READ_THREADS` / `SPIO_READ_CACHE` on first use.
   static ReadEngine& instance();
 
   /// Tells `fetch` how the prefix's AoS records are laid out so it can
@@ -155,32 +154,30 @@ class ReadEngine {
   /// Maximum concurrent per-file reads (1 = serial, inline).
   int concurrency() const;
 
-  /// The cache budget and shard count when `SPIO_READ_CACHE` /
-  /// `SPIO_CACHE_SHARDS` are unset.
+  /// The cache budget when `SPIO_READ_CACHE` is unset.
   static constexpr std::uint64_t kDefaultCacheBytes = 256ull << 20;
-  static constexpr int kDefaultCacheShards = 8;
 
   bool cache_enabled() const;
   std::uint64_t cache_budget() const;
-  /// Aggregated over shards, plus the engine's single-flight counters.
+  /// The cache's counters plus the engine's single-flight counters.
   ReadCacheStats cache_stats() const;
-  int cache_shards() const;
 
   // -- maintenance / test hooks ------------------------------------------
   /// Drop every cached entry (counted as evictions).
   void clear_cache();
   /// Re-budget the cache; 0 disables it (and drops residents). Counters
-  /// are preserved.
+  /// are preserved. Only tests call it: the engine reads
+  /// `SPIO_READ_CACHE` once, at first use, so an in-process test has no
+  /// other way to get a bounded or disabled cache.
   void set_cache_budget(std::uint64_t bytes);
   /// Zero the hit/miss/eviction and single-flight counters (residents
   /// stay).
   void reset_cache_stats();
   /// Swap the worker pool for one of `threads`. Must not race in-flight
-  /// queries.
+  /// queries. Only tests call it: the engine reads `SPIO_READ_THREADS`
+  /// once, at first use, so an in-process test has no other way to get
+  /// a serial pool (or a wider one) after the engine exists.
   void set_concurrency(int threads);
-  /// Rebuild the cache with `shards` shards (budget preserved, residents
-  /// and hit/miss counters dropped). Must not race in-flight queries.
-  void set_cache_shards(int shards);
   /// Install (or, with nullptr, remove) the pre-read hook. Must not race
   /// in-flight queries — tests install it while the service is idle.
   void set_fetch_hook(FetchHook hook);
@@ -201,7 +198,7 @@ class ReadEngine {
   void run_fetch_hook(const std::filesystem::path& path,
                       std::uint64_t prefix_bytes);
 
-  std::unique_ptr<ShardedPrefixCache> cache_;
+  PrefixCache cache_;
   std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex sf_mu_;  // guards inflight_ and the sf_* counters

@@ -274,24 +274,6 @@ std::vector<AccessProfiler::FileSnapshot> AccessProfiler::snapshot_files(
   return out;
 }
 
-AccessProfiler::Totals AccessProfiler::totals() const {
-  Totals t;
-  const FileSlot* slots = slots_.load(std::memory_order_acquire);
-  if (slots == nullptr) return t;
-  int n = 0;
-  {
-    std::lock_guard<std::mutex> lk(reg_mu_);
-    n = next_slot_;
-  }
-  for (int i = 0; i < n; ++i) {
-    t.accesses += slots[i].accesses.load(kRx);
-    t.bytes_scanned += slots[i].bytes_scanned.load(kRx);
-    t.bytes_fetched += slots[i].bytes_fetched.load(kRx);
-    t.bytes_used += slots[i].bytes_used.load(kRx);
-  }
-  return t;
-}
-
 std::string AccessProfiler::dump() const {
   const FileSlot* slots = slots_.load(std::memory_order_acquire);
 
@@ -302,7 +284,12 @@ std::string AccessProfiler::dump() const {
           JsonValue::number(static_cast<std::uint64_t>(now_us())));
   doc.set("unattributed", JsonValue::number(unattributed_.load(kRx)));
 
-  Totals tot;
+  struct {
+    std::uint64_t accesses = 0;
+    std::uint64_t bytes_scanned = 0;
+    std::uint64_t bytes_fetched = 0;
+    std::uint64_t bytes_used = 0;
+  } tot;
   JsonValue datasets = JsonValue::array();
   {
     std::lock_guard<std::mutex> lk(reg_mu_);

@@ -174,14 +174,6 @@ class AccessProfiler {
   /// were never touched when `touched_only`).
   std::vector<FileSnapshot> snapshot_files(bool touched_only = false) const;
 
-  struct Totals {
-    std::uint64_t accesses = 0;
-    std::uint64_t bytes_scanned = 0;
-    std::uint64_t bytes_fetched = 0;
-    std::uint64_t bytes_used = 0;
-  };
-  Totals totals() const;
-
   /// Fetches that could not be attributed (unregistered dataset or slot
   /// table full).
   std::uint64_t unattributed() const {
@@ -195,7 +187,9 @@ class AccessProfiler {
   std::string dump() const;
 
   /// Zero every slot counter and drop all query records (registrations
-  /// stay). Tests only; must not race queries.
+  /// stay). Must not race queries. Only tests call it: the profiler is a
+  /// process-wide singleton that counts from first use, so an in-process
+  /// test has no other way to start from clean counters.
   void reset_counters();
 
  private:

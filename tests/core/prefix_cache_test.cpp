@@ -1,11 +1,11 @@
 /// \file prefix_cache_test.cpp
-/// Property tests for the sharded prefix cache: seeded random op
-/// sequences (lookup/insert/invalidate/clear plus signature bumps that
-/// model in-place rewrites) checked differentially against the
-/// single-shard reference, plus invariants under tight budgets, a
-/// concurrent-reader staleness hammer, and the SoA position mirror's
-/// lifecycle (charged on insert, evicted with the prefix, dropped on
-/// staleness).
+/// Property tests for the prefix cache: seeded random op sequences
+/// (lookup/insert/invalidate/clear plus signature bumps that model
+/// in-place rewrites) checked against budget and accounting invariants
+/// under tight budgets, the default budget's capacity for `explore`'s
+/// files, a concurrent-reader staleness hammer, and the SoA position
+/// mirror's lifecycle (charged on insert, evicted with the prefix,
+/// dropped on staleness).
 
 #include <gtest/gtest.h>
 
@@ -45,108 +45,42 @@ bool block_matches(const ByteBlock& got, const std::string& key,
   return std::memcmp(got.span().data(), want->span().data(), got.size()) == 0;
 }
 
-/// Differential check: under an effectively unbounded budget (so
-/// per-shard eviction pressure never differs), a sharded cache must be
-/// op-for-op indistinguishable from the single-shard reference —
-/// same hit/miss outcome per lookup, same bytes, same aggregate
-/// counters at the end.
-TEST(PrefixCacheProperty, ShardedMatchesSingleShardReferenceOpForOp) {
-  constexpr std::uint64_t kBudget = 1ull << 30;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    ShardedPrefixCache sharded(kBudget, 8);
-    PrefixCache reference(kBudget);
-    Xoshiro256 rng(stream_seed(7100, seed));
-
-    // Per-key "current file signature"; a bump models an in-place
-    // rewrite of the underlying file.
-    std::vector<FileSig> sigs(24);
+/// Under arbitrary tight budgets the cache must (a) never hold more
+/// than its budget, (b) never serve bytes that do not match the
+/// requested signature, and (c) keep its eviction accounting consistent
+/// (held + evicted <= inserted payload).
+TEST(PrefixCacheProperty, BudgetAndAccountingInvariantsUnderTightBudgets) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const std::uint64_t budget = 4096 + 512 * seed;
+    PrefixCache cache(budget);
+    Xoshiro256 rng(stream_seed(7200, seed));
+    std::vector<FileSig> sigs(12);
     for (std::size_t k = 0; k < sigs.size(); ++k)
-      sigs[k] = FileSig{100 + 64 * k, 1};
+      sigs[k] = FileSig{64 + 96 * k, 1};
 
-    for (int op = 0; op < 800; ++op) {
+    std::uint64_t inserted_bytes = 0;
+    std::uint64_t inserts = 0;
+    for (int op = 0; op < 600; ++op) {
       const std::size_t k = rng.uniform_index(sigs.size());
-      const std::string key = "file-" + std::to_string(k) + "\x01" +
-                              std::to_string(sigs[k].size);
-      switch (rng.uniform_index(10)) {
-        case 0:  // rewrite in place: same size, new mtime
-          sigs[k].mtime_ns += 1;
-          break;
-        case 1:
-          sharded.invalidate(key);
-          reference.invalidate(key);
-          break;
-        case 2: case 3: case 4: {
-          const auto data =
-              make_block(key, sigs[k], static_cast<std::size_t>(sigs[k].size));
-          sharded.insert(key, data, sigs[k]);
-          reference.insert(key, data, sigs[k]);
-          break;
-        }
-        default: {
-          const auto got = sharded.lookup(key, sigs[k]);
-          const auto ref = reference.lookup(key, sigs[k]);
-          ASSERT_EQ(got != nullptr, ref != nullptr)
-              << "seed " << seed << " op " << op;
-          if (got) {
-            ASSERT_TRUE(block_matches(*got, key, sigs[k]))
-                << "seed " << seed << " op " << op;
-          }
-          break;
+      const std::string key = std::string("k").append(std::to_string(k));
+      if (rng.uniform_index(3) == 0) {
+        const std::size_t size = static_cast<std::size_t>(sigs[k].size);
+        cache.insert(key, make_block(key, sigs[k], size), sigs[k]);
+        inserted_bytes += size;
+        ++inserts;
+      } else {
+        const auto got = cache.lookup(key, sigs[k]);
+        if (got) {
+          ASSERT_TRUE(block_matches(*got, key, sigs[k]));
         }
       }
+      ASSERT_LE(cache.stats().bytes_held, budget) << "seed " << seed;
     }
-
-    const ReadCacheStats got = sharded.stats();
-    const ReadCacheStats ref = reference.stats();
-    EXPECT_EQ(got.hits, ref.hits) << "seed " << seed;
-    EXPECT_EQ(got.misses, ref.misses) << "seed " << seed;
-    EXPECT_EQ(got.evictions, ref.evictions) << "seed " << seed;
-    EXPECT_EQ(got.bytes_evicted, ref.bytes_evicted) << "seed " << seed;
-    EXPECT_EQ(got.bytes_held, ref.bytes_held) << "seed " << seed;
-    EXPECT_EQ(got.entries, ref.entries) << "seed " << seed;
-  }
-}
-
-/// Under arbitrary tight budgets and any shard count, the cache must
-/// (a) never hold more than its budget, (b) never serve bytes that do
-/// not match the requested signature, and (c) keep its eviction
-/// accounting consistent (held + evicted == inserted payload).
-TEST(PrefixCacheProperty, BudgetAndAccountingInvariantsAcrossShardCounts) {
-  for (const int shards : {1, 2, 8}) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const std::uint64_t budget = 4096 + 512 * seed;
-      ShardedPrefixCache cache(budget, shards);
-      Xoshiro256 rng(stream_seed(7200, seed * 31 +
-                                 static_cast<std::uint64_t>(shards)));
-      std::vector<FileSig> sigs(12);
-      for (std::size_t k = 0; k < sigs.size(); ++k)
-        sigs[k] = FileSig{64 + 96 * k, 1};
-
-      std::uint64_t inserted_bytes = 0;
-      std::uint64_t inserts = 0;
-      for (int op = 0; op < 600; ++op) {
-        const std::size_t k = rng.uniform_index(sigs.size());
-        const std::string key = std::string("k").append(std::to_string(k));
-        if (rng.uniform_index(3) == 0) {
-          const std::size_t size = static_cast<std::size_t>(sigs[k].size);
-          cache.insert(key, make_block(key, sigs[k], size), sigs[k]);
-          inserted_bytes += size;
-          ++inserts;
-        } else {
-          const auto got = cache.lookup(key, sigs[k]);
-          if (got) {
-            ASSERT_TRUE(block_matches(*got, key, sigs[k]));
-          }
-        }
-        const ReadCacheStats s = cache.stats();
-        ASSERT_LE(s.bytes_held, budget) << "shards " << shards;
-      }
-      const ReadCacheStats s = cache.stats();
-      // Every resident or evicted byte was inserted; payloads over the
-      // per-shard budget were never admitted, hence <= not ==.
-      EXPECT_LE(s.bytes_held + s.bytes_evicted, inserted_bytes);
-      EXPECT_EQ(s.misses, inserts);  // insert counts exactly one miss
-    }
+    const ReadCacheStats s = cache.stats();
+    // Every resident or evicted byte was inserted; payloads over the
+    // budget were never admitted, hence <= not ==.
+    EXPECT_LE(s.bytes_held + s.bytes_evicted, inserted_bytes);
+    EXPECT_EQ(s.misses, inserts);  // insert counts exactly one miss
   }
 }
 
@@ -196,170 +130,153 @@ TEST(PrefixCacheProperty, MirrorBytesAreChargedEvictedAndInvalidatedWithPrefix) 
     EXPECT_EQ(fits.stats().entries, 1u);
   }
 
-  // Random op property across shard counts, with mirrors on half the
-  // inserts: the budget bound and the held+evicted <= inserted-charge
-  // accounting must hold with mirror bytes in every term.
-  for (const int shards : {1, 4}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const std::uint64_t budget = 8192 + 1024 * seed;
-      ShardedPrefixCache cache(budget, shards);
-      Xoshiro256 rng(stream_seed(7400, seed * 17 +
-                                 static_cast<std::uint64_t>(shards)));
-      std::vector<FileSig> sigs(10);
-      for (std::size_t k = 0; k < sigs.size(); ++k)
-        sigs[k] = FileSig{kRecord * (4 + 8 * k), 1};
+  // Random op property, with mirrors on half the inserts: the budget
+  // bound and the held+evicted <= inserted-charge accounting must hold
+  // with mirror bytes in every term.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::uint64_t budget = 8192 + 1024 * seed;
+    PrefixCache cache(budget);
+    Xoshiro256 rng(stream_seed(7400, seed));
+    std::vector<FileSig> sigs(10);
+    for (std::size_t k = 0; k < sigs.size(); ++k)
+      sigs[k] = FileSig{kRecord * (4 + 8 * k), 1};
 
-      std::uint64_t inserted_charge = 0;
-      for (int op = 0; op < 500; ++op) {
-        const std::size_t k = rng.uniform_index(sigs.size());
-        const std::string key = std::string("k").append(std::to_string(k));
-        switch (rng.uniform_index(4)) {
-          case 0:  // in-place rewrite
-            sigs[k].mtime_ns += 1;
-            break;
-          case 1: {
-            const std::size_t size = static_cast<std::size_t>(sigs[k].size);
-            const auto data = make_block(key, sigs[k], size);
-            std::shared_ptr<const PositionMirror> m;
-            if (rng.uniform_index(2) == 0) m = mirror_for(data);
-            cache.insert(key, data, sigs[k], m);
-            inserted_charge += size + (m ? m->byte_size() : 0);
-            break;
-          }
-          default: {
-            std::shared_ptr<const PositionMirror> m;
-            const auto got = cache.lookup(key, sigs[k], &m);
-            if (got) {
-              ASSERT_TRUE(block_matches(*got, key, sigs[k]));
-              // A returned mirror always describes the returned bytes.
-              if (m) {
-                ASSERT_EQ(m->size(), got->size() / kRecord);
-              }
-            } else {
-              ASSERT_EQ(m, nullptr);
-            }
-            break;
-          }
+    std::uint64_t inserted_charge = 0;
+    for (int op = 0; op < 500; ++op) {
+      const std::size_t k = rng.uniform_index(sigs.size());
+      const std::string key = std::string("k").append(std::to_string(k));
+      switch (rng.uniform_index(4)) {
+        case 0:  // in-place rewrite
+          sigs[k].mtime_ns += 1;
+          break;
+        case 1: {
+          const std::size_t size = static_cast<std::size_t>(sigs[k].size);
+          const auto data = make_block(key, sigs[k], size);
+          std::shared_ptr<const PositionMirror> m;
+          if (rng.uniform_index(2) == 0) m = mirror_for(data);
+          cache.insert(key, data, sigs[k], m);
+          inserted_charge += size + (m ? m->byte_size() : 0);
+          break;
         }
-        ASSERT_LE(cache.stats().bytes_held, budget)
-            << "shards " << shards << " seed " << seed;
+        default: {
+          std::shared_ptr<const PositionMirror> m;
+          const auto got = cache.lookup(key, sigs[k], &m);
+          if (got) {
+            ASSERT_TRUE(block_matches(*got, key, sigs[k]));
+            // A returned mirror always describes the returned bytes.
+            if (m) {
+              ASSERT_EQ(m->size(), got->size() / kRecord);
+            }
+          } else {
+            ASSERT_EQ(m, nullptr);
+          }
+          break;
+        }
       }
-      const ReadCacheStats s = cache.stats();
-      EXPECT_LE(s.bytes_held + s.bytes_evicted, inserted_charge)
-          << "shards " << shards << " seed " << seed;
+      ASSERT_LE(cache.stats().bytes_held, budget) << "seed " << seed;
     }
+    const ReadCacheStats s = cache.stats();
+    EXPECT_LE(s.bytes_held + s.bytes_evicted, inserted_charge)
+        << "seed " << seed;
   }
 }
 
 /// The eviction-accounting audit, pinned exactly: when every insert is
-/// admitted (payload + mirror within the per-shard budget), each byte
-/// charged on insert is either still held or has been counted into
-/// `bytes_evicted` — by budget pressure, replacement, staleness drop,
-/// invalidation, or clear(). `held + evicted == inserted charge` as an
-/// exact `==`, across shard counts, with mirror bytes in every term;
-/// a drift here is the read-amplification accounting lying.
+/// admitted (payload + mirror within the budget), each byte charged on
+/// insert is either still held or has been counted into `bytes_evicted`
+/// — by budget pressure, replacement, staleness drop, invalidation, or
+/// clear(). `held + evicted == inserted charge` as an exact `==`, with
+/// mirror bytes in every term; a drift here is the read-amplification
+/// accounting lying.
 TEST(PrefixCacheProperty, ChargeEqualsEvictExactlyWhenAllInsertsAdmitted) {
   constexpr std::size_t kRecord = 24;
-  for (const int shards : {1, 4, 8}) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      // Per-shard budget stays comfortably above the largest possible
-      // charge (block + mirror), so no insert is ever refused — the
-      // one case where charge and evict may legitimately diverge.
-      const std::uint64_t budget =
-          static_cast<std::uint64_t>(shards) * 4096;
-      ShardedPrefixCache cache(budget, shards);
-      Xoshiro256 rng(stream_seed(7500, seed * 13 +
-                                 static_cast<std::uint64_t>(shards)));
-      std::vector<FileSig> sigs(10);
-      for (std::size_t k = 0; k < sigs.size(); ++k)
-        sigs[k] = FileSig{kRecord * (2 + 3 * k), 1};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    // The budget stays comfortably above the largest possible charge
+    // (block + mirror), so no insert is ever refused — the one case
+    // where charge and evict may legitimately diverge.
+    PrefixCache cache(4096);
+    Xoshiro256 rng(stream_seed(7500, seed));
+    std::vector<FileSig> sigs(10);
+    for (std::size_t k = 0; k < sigs.size(); ++k)
+      sigs[k] = FileSig{kRecord * (2 + 3 * k), 1};
 
-      std::uint64_t inserted_charge = 0;
-      for (int op = 0; op < 600; ++op) {
-        const std::size_t k = rng.uniform_index(sigs.size());
-        const std::string key = std::string("k").append(std::to_string(k));
-        switch (rng.uniform_index(6)) {
-          case 0:  // in-place rewrite; the next lookup drops it stale
-            sigs[k].mtime_ns += 1;
-            break;
-          case 1:
-            cache.invalidate(key);
-            break;
-          case 2: case 3: {
-            const std::size_t size = static_cast<std::size_t>(sigs[k].size);
-            const auto data = make_block(key, sigs[k], size);
-            std::shared_ptr<const PositionMirror> m;
-            if (rng.uniform_index(2) == 0)
-              m = PositionMirror::build(data->span(), kRecord, 0);
-            inserted_charge += size + (m ? m->byte_size() : 0);
-            cache.insert(key, data, sigs[k], std::move(m));
-            break;
-          }
-          default: {
-            const auto got = cache.lookup(key, sigs[k]);
-            if (got) {
-              ASSERT_TRUE(block_matches(*got, key, sigs[k]));
-            }
-            break;
-          }
+    std::uint64_t inserted_charge = 0;
+    for (int op = 0; op < 600; ++op) {
+      const std::size_t k = rng.uniform_index(sigs.size());
+      const std::string key = std::string("k").append(std::to_string(k));
+      switch (rng.uniform_index(6)) {
+        case 0:  // in-place rewrite; the next lookup drops it stale
+          sigs[k].mtime_ns += 1;
+          break;
+        case 1:
+          cache.invalidate(key);
+          break;
+        case 2: case 3: {
+          const std::size_t size = static_cast<std::size_t>(sigs[k].size);
+          const auto data = make_block(key, sigs[k], size);
+          std::shared_ptr<const PositionMirror> m;
+          if (rng.uniform_index(2) == 0)
+            m = PositionMirror::build(data->span(), kRecord, 0);
+          inserted_charge += size + (m ? m->byte_size() : 0);
+          cache.insert(key, data, sigs[k], std::move(m));
+          break;
         }
-        const ReadCacheStats s = cache.stats();
-        ASSERT_EQ(s.bytes_held + s.bytes_evicted, inserted_charge)
-            << "shards " << shards << " seed " << seed << " op " << op;
+        default: {
+          const auto got = cache.lookup(key, sigs[k]);
+          if (got) {
+            ASSERT_TRUE(block_matches(*got, key, sigs[k]));
+          }
+          break;
+        }
       }
-      // clear() drains the residue into bytes_evicted: the ledger must
-      // balance to the byte.
-      cache.clear();
       const ReadCacheStats s = cache.stats();
-      EXPECT_EQ(s.bytes_held, 0u);
-      EXPECT_EQ(s.bytes_evicted, inserted_charge)
-          << "shards " << shards << " seed " << seed;
+      ASSERT_EQ(s.bytes_held + s.bytes_evicted, inserted_charge)
+          << "seed " << seed << " op " << op;
     }
+    // clear() drains the residue into bytes_evicted: the ledger must
+    // balance to the byte.
+    cache.clear();
+    const ReadCacheStats s = cache.stats();
+    EXPECT_EQ(s.bytes_held, 0u);
+    EXPECT_EQ(s.bytes_evicted, inserted_charge) << "seed " << seed;
   }
 }
 
 /// The capacity arithmetic `explore`'s cache rests on. A mirror costs
 /// 12 B per record (three f32 lanes), so a 60 000-record Uintah prefix
-/// (7.44 MB) and its mirror charge 8.16 MB, and four of them fit one
-/// shard of the engine's default budget (256 MiB over 8 shards,
-/// 33.55 MB each); a fifth evicts. With f64 lanes (24 B per record, an
-/// entry of 8.88 MB) the shard held three.
-TEST(PrefixCacheProperty, FourUintahPrefixesWithMirrorsFitOneDefaultShard) {
+/// (7.44 MB) and its mirror charge 8.16 MB, and 32 of them fit the
+/// engine's default 256 MiB budget (268.4 MB); a 33rd evicts one. With
+/// f64 lanes (24 B per record, an entry of 8.88 MB) the budget held 30.
+TEST(PrefixCacheProperty, ThirtyTwoUintahPrefixesWithMirrorsFitTheDefaultBudget) {
   constexpr std::size_t kRecords = 60000;
+  constexpr std::size_t kFit = 32;
   EXPECT_EQ(PositionMirror::bytes_for_count(kRecords), 720000u);
 
   const std::size_t record = Schema::uintah().record_size();
   const std::size_t prefix = kRecords * record;
-  ShardedPrefixCache cache(ReadEngine::kDefaultCacheBytes,
-                           ReadEngine::kDefaultCacheShards);
-  const std::uint64_t shard_budget =
-      ReadEngine::kDefaultCacheBytes / ReadEngine::kDefaultCacheShards;
-  EXPECT_GT(4 * (prefix + 2 * PositionMirror::bytes_for_count(kRecords)),
-            shard_budget)
-      << "four entries with f64 mirrors would fit too: the gain is gone";
+  PrefixCache cache(ReadEngine::kDefaultCacheBytes);
+  EXPECT_GT(kFit * (prefix + 2 * PositionMirror::bytes_for_count(kRecords)),
+            ReadEngine::kDefaultCacheBytes)
+      << "32 entries with f64 mirrors would fit too: the gain is gone";
 
-  // Five keys that route to one shard.
-  std::vector<std::string> keys;
-  for (int i = 0; keys.size() < 5; ++i) {
-    std::string key = "File_" + std::to_string(i) + ".bin";
-    if (keys.empty() || cache.shard_of(key) == cache.shard_of(keys[0]))
-      keys.push_back(std::move(key));
-  }
   const FileSig sig{prefix, 1};
   const auto data = std::make_shared<ByteBlock>(prefix);
   std::memset(data->data(), 0, prefix);
   const auto mirror = PositionMirror::build(data->span(), record, 0);
-  for (std::size_t k = 0; k < 4; ++k)
-    cache.insert(keys[k], data, sig, mirror);
-  EXPECT_EQ(cache.stats().entries, 4u);
+  const auto key = [](std::size_t k) {
+    return "File_" + std::to_string(k) + ".bin";
+  };
+  for (std::size_t k = 0; k < kFit; ++k)
+    cache.insert(key(k), data, sig, mirror);
+  EXPECT_EQ(cache.stats().entries, kFit);
   EXPECT_EQ(cache.stats().evictions, 0u);
-  for (std::size_t k = 0; k < 4; ++k) {
+  for (std::size_t k = 0; k < kFit; ++k) {
     std::shared_ptr<const PositionMirror> got;
-    EXPECT_NE(cache.lookup(keys[k], sig, &got), nullptr) << keys[k];
-    EXPECT_EQ(got.get(), mirror.get()) << keys[k];
+    EXPECT_NE(cache.lookup(key(k), sig, &got), nullptr) << key(k);
+    EXPECT_EQ(got.get(), mirror.get()) << key(k);
   }
-  cache.insert(keys[4], data, sig, mirror);
-  EXPECT_EQ(cache.stats().entries, 4u);
+  cache.insert(key(kFit), data, sig, mirror);
+  EXPECT_EQ(cache.stats().entries, kFit);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -370,7 +287,7 @@ TEST(PrefixCacheProperty, FourUintahPrefixesWithMirrorsFitOneDefaultShard) {
 TEST(PrefixCacheProperty, InPlaceRewriteNeverServedStaleToConcurrentReaders) {
   constexpr std::size_t kKeys = 8;
   constexpr std::size_t kBlock = 256;
-  ShardedPrefixCache cache(1ull << 24, 8);
+  PrefixCache cache(1ull << 24);
   std::vector<std::atomic<std::int64_t>> version(kKeys);
   for (auto& v : version) v.store(1);
 

@@ -511,9 +511,7 @@ TEST_F(ReadEngineQueries, TinyBudgetEvictsAndZeroBudgetBypasses) {
   {
     // Budget of the largest file entry — prefix plus its SoA position
     // mirror when SIMD dispatch will build one: every fetch fits but
-    // evicts the previously-cached file. One shard — this is a test of
-    // LRU budget arithmetic, and a sharded cache splits the budget N
-    // ways.
+    // evicts the previously-cached file.
     const bool mirrored =
         simd::active_level() != simd::Level::kScalar;
     std::uint64_t one_file = 0;
@@ -525,8 +523,6 @@ TEST_F(ReadEngineQueries, TinyBudgetEvictsAndZeroBudgetBypasses) {
             static_cast<std::size_t>(f.particle_count));
       one_file = std::max<std::uint64_t>(one_file, charge);
     }
-    const int prev_shards = eng.cache_shards();
-    eng.set_cache_shards(1);
     EngineConfig cfg(1, one_file);
     eng.clear_cache();
     eng.reset_cache_stats();
@@ -537,7 +533,6 @@ TEST_F(ReadEngineQueries, TinyBudgetEvictsAndZeroBudgetBypasses) {
     EXPECT_GT(cs.bytes_evicted, 0u);
     EXPECT_LE(cs.bytes_held, one_file);
     EXPECT_LE(cs.entries, 1u);
-    eng.set_cache_shards(prev_shards);
   }
   {
     // Zero budget: plain reads, no cache traffic at all.
@@ -553,6 +548,47 @@ TEST_F(ReadEngineQueries, TinyBudgetEvictsAndZeroBudgetBypasses) {
     EXPECT_EQ(cs.misses, 0u);
     EXPECT_EQ(cs.bytes_held, 0u);
   }
+}
+
+/// The whole budget serves every file: a working set of 8 prefixes (and
+/// their mirrors) under a budget of 1.1x their sum stays resident, so a
+/// warm repeat reads nothing from disk. A budget split into per-key
+/// partitions, none large enough for two files, fails this as soon as
+/// two files share a partition.
+TEST_F(ReadEngineQueries, WorkingSetWithinBudgetIsServedWarmFromMemory) {
+  const Dataset ds = Dataset::open(dir_->path());
+  ReadEngine& eng = ReadEngine::instance();
+  // Inset from the domain, so every file is partially covered: each
+  // fetch reads the whole prefix and, under SIMD dispatch, builds its
+  // mirror.
+  const Box3 box({0.01, 0.01, 0.01}, {0.99, 0.99, 0.99});
+  ASSERT_EQ(ds.metadata().files_intersecting(box).size(),
+            static_cast<std::size_t>(ds.file_count()));
+
+  const bool mirrored = simd::active_level() != simd::Level::kScalar;
+  std::uint64_t working_set = 0;
+  for (const auto& f : ds.metadata().files) {
+    working_set += f.particle_count * ds.metadata().schema.record_size();
+    if (mirrored)
+      working_set += PositionMirror::bytes_for_count(
+          static_cast<std::size_t>(f.particle_count));
+  }
+  EngineConfig cfg(4, working_set + working_set / 10);
+  eng.clear_cache();
+  eng.reset_cache_stats();
+
+  ReadStats cold;
+  const ParticleBuffer first = ds.query_box(box, -1, 1, &cold);
+  EXPECT_EQ(cold.cache_misses, static_cast<std::uint64_t>(ds.file_count()));
+  EXPECT_EQ(eng.cache_stats().bytes_held, working_set);
+
+  ReadStats warm;
+  const ParticleBuffer again = ds.query_box(box, -1, 1, &warm);
+  EXPECT_EQ(warm.bytes_read, 0u);
+  EXPECT_EQ(warm.files_opened, 0);
+  EXPECT_EQ(warm.cache_hits, static_cast<std::uint64_t>(ds.file_count()));
+  EXPECT_EQ(eng.cache_stats().evictions, 0u);
+  EXPECT_TRUE(same_bytes(first.bytes(), again.bytes()));
 }
 
 TEST_F(ReadEngineQueries, RewrittenDatasetIsNeverServedStale) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "core/journal.hpp"
 #include "core/metadata.hpp"
@@ -37,6 +39,21 @@ int process_thread_count() {
     f.ignore(4096, '\n');
   }
   return 0;
+}
+
+/// The thread count once it has settled back to `expected`, polled for
+/// up to 2 s: `pthread_join` can return before the kernel drops the
+/// exited thread from `Threads:`. A leaked thread never settles, so the
+/// caller's equality check still fails on it.
+int thread_count_settled_to(int expected) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  int n = process_thread_count();
+  while (n != expected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = process_thread_count();
+  }
+  return n;
 }
 
 /// Writes `per_rank` Uintah records from each of `ranks` ranks into one
@@ -90,7 +107,7 @@ TEST_F(WriteErrors, DataFileOnAFullDeviceFailsAtEverySize) {
     EXPECT_NE(err.find("short write to '"), std::string::npos)
         << c.ranks << " x " << c.per_rank << " records: '" << err << "'";
     // The writer thread is joined on the error path.
-    EXPECT_EQ(process_thread_count(), threads_before);
+    EXPECT_EQ(thread_count_settled_to(threads_before), threads_before);
     // The journal still marks the directory incomplete.
     EXPECT_TRUE(WriteJournal::present(dir.path()));
     EXPECT_FALSE(std::filesystem::exists(dir.path() /

@@ -100,6 +100,25 @@ void reset_accounting() {
   obs::AccessProfiler::instance().reset_counters();
 }
 
+/// The profiler's totals: the sum of every registered file's slot.
+struct Totals {
+  std::uint64_t accesses = 0;
+  std::uint64_t bytes_scanned = 0;
+  std::uint64_t bytes_fetched = 0;
+  std::uint64_t bytes_used = 0;
+};
+
+Totals profile_totals() {
+  Totals t;
+  for (const auto& f : obs::AccessProfiler::instance().snapshot_files()) {
+    t.accesses += f.accesses;
+    t.bytes_scanned += f.bytes_scanned;
+    t.bytes_fetched += f.bytes_fetched;
+    t.bytes_used += f.bytes_used;
+  }
+  return t;
+}
+
 class AccessProfileTest : public ::testing::Test {
  protected:
   static constexpr int kRanks = 8;
@@ -152,7 +171,6 @@ TempDir* AccessProfileTest::dir_ = nullptr;
 
 TEST_F(AccessProfileTest, FetchedBytesMatchHookOracleAcrossConfigsAndWarmth) {
   const Dataset ds = Dataset::open(dir_->path());
-  auto& prof = obs::AccessProfiler::instance();
 
   struct Config {
     int threads;
@@ -169,7 +187,7 @@ TEST_F(AccessProfileTest, FetchedBytesMatchHookOracleAcrossConfigsAndWarmth) {
 
     const std::uint64_t cold_returned = run_query_mix(ds);
     ASSERT_GT(cold_returned, 0u);
-    obs::AccessProfiler::Totals t = prof.totals();
+    Totals t = profile_totals();
     EXPECT_EQ(t.bytes_fetched, oracle.bytes())
         << "cold, threads=" << c.threads << " budget=" << c.budget;
     EXPECT_GT(t.bytes_fetched, 0u);
@@ -177,7 +195,7 @@ TEST_F(AccessProfileTest, FetchedBytesMatchHookOracleAcrossConfigsAndWarmth) {
     // Warm pass: with the cache on, hits must add nothing to either
     // side; with it off, both sides grow by the same plain re-reads.
     run_query_mix(ds);
-    t = prof.totals();
+    t = profile_totals();
     EXPECT_EQ(t.bytes_fetched, oracle.bytes())
         << "warm, threads=" << c.threads << " budget=" << c.budget;
     if (c.budget > 0) {
@@ -190,13 +208,12 @@ TEST_F(AccessProfileTest, FetchedBytesMatchHookOracleAcrossConfigsAndWarmth) {
 
 TEST_F(AccessProfileTest, UsedBytesMatchReturnedBytes) {
   const Dataset ds = Dataset::open(dir_->path());
-  auto& prof = obs::AccessProfiler::instance();
 
   for (const int threads : {1, 4}) {
     EngineConfig cfg(threads, 64ull << 20);
     reset_accounting();
     const std::uint64_t returned = run_query_mix(ds);
-    const obs::AccessProfiler::Totals t = prof.totals();
+    const Totals t = profile_totals();
     EXPECT_EQ(t.bytes_used, returned) << "threads=" << threads;
     EXPECT_GE(t.bytes_scanned, t.bytes_used) << "threads=" << threads;
     EXPECT_GE(t.bytes_scanned, t.bytes_fetched) << "threads=" << threads;
@@ -208,7 +225,7 @@ TEST_F(AccessProfileTest, UsedBytesMatchReturnedBytes) {
   reset_accounting();
   const Box3 corner({0.0, 0.0, 0.0}, {0.4, 0.4, 0.4});
   const ParticleBuffer out = ds.query_box_scan_all(corner);
-  const obs::AccessProfiler::Totals t = prof.totals();
+  const Totals t = profile_totals();
   EXPECT_EQ(t.bytes_used, out.byte_size());
   EXPECT_EQ(t.bytes_scanned, ds.metadata().total_particles *
                                  ds.metadata().schema.record_size());
@@ -224,7 +241,7 @@ TEST_F(AccessProfileTest, PerFileSlotInvariantsHold) {
 
   const auto files = prof.snapshot_files(/*touched_only=*/true);
   ASSERT_FALSE(files.empty());
-  obs::AccessProfiler::Totals sum;
+  Totals sum;
   for (const auto& f : files) {
     EXPECT_EQ(f.hits + f.misses + f.followers + f.bypasses, f.accesses)
         << f.name;
@@ -237,12 +254,14 @@ TEST_F(AccessProfileTest, PerFileSlotInvariantsHold) {
     sum.bytes_fetched += f.bytes_fetched;
     sum.bytes_used += f.bytes_used;
   }
-  // Per-file slots are the only accounting: totals are exactly their sum.
-  const obs::AccessProfiler::Totals t = prof.totals();
-  EXPECT_EQ(t.accesses, sum.accesses);
-  EXPECT_EQ(t.bytes_scanned, sum.bytes_scanned);
-  EXPECT_EQ(t.bytes_fetched, sum.bytes_fetched);
-  EXPECT_EQ(t.bytes_used, sum.bytes_used);
+  // Per-file slots are the only accounting: the profile document's
+  // totals are exactly their sum.
+  const obs::JsonValue doc = obs::JsonValue::parse(prof.dump());
+  const obs::JsonValue& t = doc.at("totals");
+  EXPECT_EQ(t.at("accesses").as_u64(), sum.accesses);
+  EXPECT_EQ(t.at("bytes_scanned").as_u64(), sum.bytes_scanned);
+  EXPECT_EQ(t.at("bytes_fetched").as_u64(), sum.bytes_fetched);
+  EXPECT_EQ(t.at("bytes_used").as_u64(), sum.bytes_used);
   EXPECT_EQ(prof.unattributed(), 0u);
 }
 
@@ -250,7 +269,6 @@ TEST_F(AccessProfileTest, PerFileSlotInvariantsHold) {
 
 TEST_F(AccessProfileTest, ConcurrentColdQueriesNeverDoubleCountDiskBytes) {
   const Dataset ds = Dataset::open(dir_->path());
-  auto& prof = obs::AccessProfiler::instance();
   EngineConfig cfg(4, 64ull << 20);
   reset_accounting();
   // The sleeping hook holds every leader in the read long enough that
@@ -264,7 +282,7 @@ TEST_F(AccessProfileTest, ConcurrentColdQueriesNeverDoubleCountDiskBytes) {
     ASSERT_GT(out.size(), 0u);
   });
 
-  const obs::AccessProfiler::Totals t = prof.totals();
+  const Totals t = profile_totals();
   EXPECT_EQ(t.bytes_fetched, oracle.bytes())
       << "followers or hits charged disk bytes they did not read";
   // All four ranks scanned every intersecting prefix; the disk saw each
@@ -275,7 +293,6 @@ TEST_F(AccessProfileTest, ConcurrentColdQueriesNeverDoubleCountDiskBytes) {
 
 TEST_F(AccessProfileTest, CoalescedServiceWaitersNeverDoubleCount) {
   const Dataset ds = Dataset::open(dir_->path());
-  auto& prof = obs::AccessProfiler::instance();
   EngineConfig cfg(4, 64ull << 20);
   reset_accounting();
   FetchOracle oracle(/*sleep_ms=*/2);
@@ -300,7 +317,7 @@ TEST_F(AccessProfileTest, CoalescedServiceWaitersNeverDoubleCount) {
 
   ASSERT_GT(returned.load(), 0u);
   EXPECT_GT(stats.coalesced, 0u) << "the coalescing path was never exercised";
-  const obs::AccessProfiler::Totals t = prof.totals();
+  const Totals t = profile_totals();
   // Coalesced waiters share one execution: disk bytes match the hook
   // exactly, and used bytes reflect executions, not client completions.
   EXPECT_EQ(t.bytes_fetched, oracle.bytes());
@@ -308,7 +325,6 @@ TEST_F(AccessProfileTest, CoalescedServiceWaitersNeverDoubleCount) {
 }
 
 TEST_F(AccessProfileTest, RestartReadFetchedBytesMatchHookOracle) {
-  auto& prof = obs::AccessProfiler::instance();
   EngineConfig cfg(4, 64ull << 20);
   reset_accounting();
   FetchOracle oracle;
@@ -321,7 +337,7 @@ TEST_F(AccessProfileTest, RestartReadFetchedBytesMatchHookOracle) {
   });
   ASSERT_EQ(bytes.load(), kRanks * kPerRank * Schema::uintah().record_size());
 
-  const obs::AccessProfiler::Totals t = prof.totals();
+  const Totals t = profile_totals();
   EXPECT_EQ(t.bytes_fetched, oracle.bytes());
   // The reader patches tile the domain, so every record is used by
   // exactly one reader.
@@ -381,7 +397,7 @@ TEST_F(AccessProfileTest, DetailedRecordsSplitSumsExactlyToQueryTotals) {
   // cold fetch of this test happened inside a recorded query.
   const obs::JsonValue& totals = doc.at("totals");
   EXPECT_EQ(totals.at("bytes_fetched").as_u64(),
-            prof.totals().bytes_fetched);
+            profile_totals().bytes_fetched);
 }
 
 TEST_F(AccessProfileTest, WriteProducesAParsableProfileDocument) {
@@ -428,14 +444,14 @@ TEST_F(AccessProfileTest, KillSwitchFreezesAllCounters) {
 
   prof.set_enabled(false);
   ds.query_box(Box3({0.1, 0.1, 0.1}, {0.9, 0.9, 0.9}));
-  obs::AccessProfiler::Totals t = prof.totals();
+  Totals t = profile_totals();
   EXPECT_EQ(t.accesses, 0u);
   EXPECT_EQ(t.bytes_scanned, 0u);
   EXPECT_EQ(t.bytes_used, 0u);
 
   prof.set_enabled(true);
   ds.query_box(Box3({0.1, 0.1, 0.1}, {0.9, 0.9, 0.9}));
-  t = prof.totals();
+  t = profile_totals();
   EXPECT_GT(t.accesses, 0u);
   EXPECT_GT(t.bytes_used, 0u);
 }
