@@ -4,9 +4,9 @@
 ///   1. sweeps the partition factor on the first checkpoint and picks the
 ///      fastest (the paper exposes the factor as a tuning parameter),
 ///   2. advances a toy MPM-like simulation for several timesteps, writing
-///      one dataset per checkpoint,
-///   3. "restarts": reads the last checkpoint back on a *different* rank
-///      count and verifies the particle census.
+///      each checkpoint as one step of a `TimeSeries` at the output dir,
+///   3. "restarts": reads the series' last step back on a *different*
+///      rank count and verifies the particle census.
 ///
 /// Usage: uintah_checkpoint [output-dir]   (default: ./uintah_run)
 
@@ -15,6 +15,7 @@
 #include <mutex>
 
 #include "core/restart.hpp"
+#include "core/timeseries.hpp"
 #include "core/writer.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/units.hpp"
@@ -89,22 +90,21 @@ int main(int argc, char** argv) {
   });
 
   for (int step = 1; step <= kTimesteps; ++step) {
-    const auto dir = base / std::string("t").append(std::to_string(step));
     WriteStats job{};
     std::mutex mu;
     simmpi::run(kRanks, [&](simmpi::Comm& comm) {
       ParticleBuffer& local = state[static_cast<std::size_t>(comm.rank())];
       advance(local, decomp.domain(), 0.05);
       WriterConfig cfg;
-      cfg.dir = dir;
       cfg.factor = best;
       // Drifting particles can leave their patch: spio detects this and
       // falls back to the general (binning) exchange automatically.
-      const WriteStats s = write_dataset(comm, decomp, local, cfg);
+      const WriteStats s =
+          TimeSeries::write_step(comm, decomp, local, base, step, cfg);
       std::lock_guard lk(mu);
       job = WriteStats::max_over(job, s);
     });
-    std::cout << "checkpoint t" << step << ": "
+    std::cout << "checkpoint step " << step << ": "
               << format_bytes(job.bytes_written) << " in "
               << job.files_written << " files, "
               << format_seconds(job.total_seconds())
@@ -113,8 +113,10 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  // --- step 3: restart read on a smaller machine (4 ranks, not 16).
-  const auto last = base / std::string("t").append(std::to_string(kTimesteps));
+  // --- step 3: restart read on a smaller machine (4 ranks, not 16), from
+  // the last step the series index records.
+  const auto last =
+      TimeSeries::step_dir(base, TimeSeries::open(base).steps().back());
   std::mutex mu;
   std::uint64_t restored = 0;
   const auto readers = PatchDecomposition::for_ranks(decomp.domain(), 4);

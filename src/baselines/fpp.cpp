@@ -72,19 +72,4 @@ ParticleBuffer FppDataset::read_rank_file(int rank, ReadStats* stats) const {
   return buf;
 }
 
-ParticleBuffer FppDataset::query_box(const Box3& box, ReadStats* stats) const {
-  obs::ScopedSpan span("baseline.fpp.query_box", "baseline");
-  ParticleBuffer out(schema_);
-  for (int r = 0; r < file_count(); ++r) {
-    const ParticleBuffer buf = read_rank_file(r, stats);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      if (box.contains(buf.position(i))) {
-        out.append_from(buf, i);
-        if (stats) stats->particles_returned += 1;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace spio::baselines

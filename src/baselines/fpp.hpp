@@ -31,9 +31,6 @@ class FppDataset {
   /// Read one rank file in full.
   ParticleBuffer read_rank_file(int rank, ReadStats* stats = nullptr) const;
 
-  /// Box query: must scan every file (no spatial information exists).
-  ParticleBuffer query_box(const Box3& box, ReadStats* stats = nullptr) const;
-
  private:
   FppDataset(std::filesystem::path dir, Schema schema,
              std::vector<std::uint64_t> counts)

@@ -10,7 +10,6 @@ namespace spio::baselines {
 namespace {
 constexpr std::uint32_t kManifestMagic = 0x4F4B5253;  // "SRKO"
 constexpr const char* kManifestName = "rank_order_manifest.bin";
-constexpr int kTagCount = 201;
 constexpr int kTagData = 202;
 
 std::string group_file_name(int group) {
@@ -34,27 +33,18 @@ void rank_order_write(simmpi::Comm& comm, const ParticleBuffer& local,
   const int leader = group * group_size;
   const int groups = (comm.size() + group_size - 1) / group_size;
 
-  comm.send_value<std::uint64_t>(leader, kTagCount, local.size());
-  if (!local.empty()) {
-    comm.send_bytes(leader, kTagData,
-                    std::vector<std::byte>(local.bytes().begin(),
-                                           local.bytes().end()));
-  }
+  // Every member sends, even an empty payload, so the leader needs no
+  // count message: it appends one payload per member in member order.
+  comm.send_bytes(leader, kTagData,
+                  std::vector<std::byte>(local.bytes().begin(),
+                                         local.bytes().end()));
 
   std::uint64_t group_count = 0;
   if (comm.rank() == leader) {
-    const int members =
-        std::min(group_size, comm.size() - leader);
-    std::vector<std::uint64_t> counts(static_cast<std::size_t>(members));
-    for (int m = 0; m < members; ++m)
-      counts[static_cast<std::size_t>(m)] =
-          comm.recv_value<std::uint64_t>(leader + m, kTagCount);
+    const int members = std::min(group_size, comm.size() - leader);
     ParticleBuffer agg(local.schema());
-    for (int m = 0; m < members; ++m) {
-      if (counts[static_cast<std::size_t>(m)] == 0) continue;
-      simmpi::Message msg = comm.recv_message(leader + m, kTagData);
-      agg.append_bytes(msg.payload);
-    }
+    for (int m = 0; m < members; ++m)
+      agg.append_bytes(comm.recv_message(leader + m, kTagData).payload);
     group_count = agg.size();
     write_file(dir / group_file_name(group), agg.bytes());
   }
@@ -106,22 +96,6 @@ ParticleBuffer RankOrderDataset::read_group_file(int group,
     stats->particles_scanned += buf.size();
   }
   return buf;
-}
-
-ParticleBuffer RankOrderDataset::query_box(const Box3& box,
-                                           ReadStats* stats) const {
-  obs::ScopedSpan span("baseline.rank_order.query_box", "baseline");
-  ParticleBuffer out(schema_);
-  for (int g = 0; g < file_count(); ++g) {
-    const ParticleBuffer buf = read_group_file(g, stats);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      if (box.contains(buf.position(i))) {
-        out.append_from(buf, i);
-        if (stats) stats->particles_returned += 1;
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace spio::baselines

@@ -32,10 +32,6 @@ class RankOrderDataset {
 
   ParticleBuffer read_group_file(int group, ReadStats* stats = nullptr) const;
 
-  /// Box query: every file may contain matching particles, so all are
-  /// read and filtered.
-  ParticleBuffer query_box(const Box3& box, ReadStats* stats = nullptr) const;
-
  private:
   RankOrderDataset(std::filesystem::path dir, Schema schema,
                    std::vector<std::uint64_t> counts)

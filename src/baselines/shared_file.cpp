@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "obs/trace.hpp"
-#include "simmpi/reduce_ops.hpp"
 #include "util/serialize.hpp"
 
 namespace spio::baselines {
@@ -32,11 +31,14 @@ void write_at(const std::filesystem::path& path, std::uint64_t offset,
 void shared_write(simmpi::Comm& comm, const ParticleBuffer& local,
                   const std::filesystem::path& dir) {
   obs::ScopedSpan span("baseline.shared.write", "baseline");
-  const std::uint64_t my_bytes = local.byte_size();
+  // Offset = bytes of the lower ranks, as MPI_Exscan would give; one
+  // allgather yields that and the file's total.
+  const auto sizes = comm.allgather<std::uint64_t>(local.byte_size());
+  const auto mine = sizes.begin() + comm.rank();
   const std::uint64_t offset =
-      comm.exscan<std::uint64_t>(my_bytes, simmpi::op::sum, 0);
+      std::accumulate(sizes.begin(), mine, std::uint64_t{0});
   const std::uint64_t total_bytes =
-      comm.allreduce<std::uint64_t>(my_bytes, simmpi::op::sum);
+      std::accumulate(mine, sizes.end(), offset);
 
   if (comm.rank() == 0) {
     std::error_code ec;
@@ -81,17 +83,6 @@ std::uint64_t SharedDataset::total_particles() const {
   return std::accumulate(counts_.begin(), counts_.end(), std::uint64_t{0});
 }
 
-ParticleBuffer SharedDataset::read_all(ReadStats* stats) const {
-  ParticleBuffer buf(schema_);
-  buf.adopt_bytes(read_file(dir_ / kDataName));
-  if (stats) {
-    stats->files_opened += 1;
-    stats->bytes_read += buf.byte_size();
-    stats->particles_scanned += buf.size();
-  }
-  return buf;
-}
-
 ParticleBuffer SharedDataset::read_rank_slice(int rank,
                                               ReadStats* stats) const {
   SPIO_EXPECTS(rank >= 0 && rank < writer_count());
@@ -108,20 +99,6 @@ ParticleBuffer SharedDataset::read_rank_slice(int rank,
     stats->particles_scanned += buf.size();
   }
   return buf;
-}
-
-ParticleBuffer SharedDataset::query_box(const Box3& box,
-                                        ReadStats* stats) const {
-  obs::ScopedSpan span("baseline.shared.query_box", "baseline");
-  const ParticleBuffer all = read_all(stats);
-  ParticleBuffer out(schema_);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (box.contains(all.position(i))) {
-      out.append_from(all, i);
-      if (stats) stats->particles_returned += 1;
-    }
-  }
-  return out;
 }
 
 }  // namespace spio::baselines

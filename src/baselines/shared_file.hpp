@@ -14,9 +14,9 @@
 
 namespace spio::baselines {
 
-/// Collective: ranks compute their byte offsets with an exclusive scan and
-/// write concurrently into `<dir>/shared.bin`; rank 0 writes a header file
-/// with the schema and per-rank counts.
+/// Collective: ranks compute their byte offsets from an allgather of the
+/// byte counts and write concurrently into `<dir>/shared.bin`; rank 0
+/// writes a header file with the schema and per-rank counts.
 void shared_write(simmpi::Comm& comm, const ParticleBuffer& local,
                   const std::filesystem::path& dir);
 
@@ -28,14 +28,8 @@ class SharedDataset {
   const Schema& schema() const { return schema_; }
   int writer_count() const { return static_cast<int>(counts_.size()); }
 
-  /// Read the whole file.
-  ParticleBuffer read_all(ReadStats* stats = nullptr) const;
-
   /// Read the contiguous slice written by one rank.
   ParticleBuffer read_rank_slice(int rank, ReadStats* stats = nullptr) const;
-
-  /// Box query: scans the entire file.
-  ParticleBuffer query_box(const Box3& box, ReadStats* stats = nullptr) const;
 
  private:
   SharedDataset(std::filesystem::path dir, Schema schema,

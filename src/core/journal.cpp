@@ -88,6 +88,12 @@ ChecksumTable ChecksumTable::load(const std::filesystem::path& dir) {
   SPIO_CHECK(version == kVersion, FormatError,
              "unsupported checksum table version " << version);
   const auto count = r.read<std::uint64_t>();
+  // Each entry is 12 bytes on disk: bound the count before reserving.
+  SPIO_CHECK(count <= r.remaining() / (sizeof(std::uint32_t) +
+                                       sizeof(std::uint64_t)),
+             FormatError,
+             "checksum table claims " << count << " entries in "
+                                      << r.remaining() << " bytes");
   ChecksumTable table;
   table.entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

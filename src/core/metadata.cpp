@@ -58,6 +58,12 @@ FileRecord FileRecord::deserialize(BinaryReader& r, bool with_bounds,
                "file record has an empty bounding box");
   }
   if (with_ranges) {
+    // `range_count` comes from the schema just parsed: bound it by the
+    // bytes left (16 per range) before resizing.
+    SPIO_CHECK(range_count <= r.remaining() / (2 * sizeof(double)),
+               FormatError,
+               "file record claims " << range_count << " field ranges in "
+                                     << r.remaining() << " bytes");
     f.field_ranges.resize(range_count);
     for (FieldRange& fr : f.field_ranges) {
       fr.min = r.read<double>();
@@ -143,6 +149,13 @@ DatasetMetadata DatasetMetadata::deserialize(std::span<const std::byte> bytes) {
   }
   m.total_particles = r.read<std::uint64_t>();
   const auto nfiles = r.read<std::uint32_t>();
+  // The smallest file record (no bounds, no ranges) is 16 bytes: bound the
+  // count before reserving.
+  SPIO_CHECK(nfiles <= r.remaining() / (2 * sizeof(std::uint32_t) +
+                                        sizeof(std::uint64_t)),
+             FormatError,
+             "metadata claims " << nfiles << " files in " << r.remaining()
+                                << " bytes");
 
   std::uint64_t count_sum = 0;
   m.files.reserve(nfiles);

@@ -109,6 +109,13 @@ ZoneMapTable ZoneMapTable::deserialize(std::span<const std::byte> bytes) {
   SPIO_CHECK(t.lod.valid(), FormatError,
              "zone sidecar has invalid LOD parameters");
   const auto file_count = r.read<std::uint32_t>();
+  // The smallest entry (rank, count, zone count) is 16 bytes: bound the
+  // count before reserving.
+  SPIO_CHECK(file_count <= r.remaining() / (2 * sizeof(std::uint32_t) +
+                                            sizeof(std::uint64_t)),
+             FormatError,
+             "zone sidecar claims " << file_count << " files in "
+                                    << r.remaining() << " bytes");
   t.files.reserve(file_count);
   for (std::uint32_t i = 0; i < file_count; ++i) {
     FileZones f;

@@ -78,33 +78,8 @@ WriteStats TimeSeries::write_step(simmpi::Comm& comm,
   return stats;
 }
 
-void TimeSeries::remove_step(const std::filesystem::path& base, int step) {
-  std::vector<int> steps = parse_index(read_file(base / kIndexName));
-  const auto it = std::lower_bound(steps.begin(), steps.end(), step);
-  SPIO_CHECK(it != steps.end() && *it == step, ConfigError,
-             "series has no step " << step);
-  steps.erase(it);
-  // Update the index before deleting data: a reader racing the removal
-  // sees a missing step rather than a truncated one.
-  save_index(base, steps);
-  std::error_code ec;
-  std::filesystem::remove_all(step_dir(base, step), ec);
-  SPIO_CHECK(!ec, IoError,
-             "cannot remove step directory: " << ec.message());
-}
-
 TimeSeries TimeSeries::open(const std::filesystem::path& base) {
-  return TimeSeries(base, parse_index(read_file(base / kIndexName)));
-}
-
-bool TimeSeries::has_step(int step) const {
-  return std::binary_search(steps_.begin(), steps_.end(), step);
-}
-
-Dataset TimeSeries::open_step(int step) const {
-  SPIO_CHECK(has_step(step), ConfigError,
-             "series has no step " << step);
-  return Dataset::open(step_dir(base_, step));
+  return TimeSeries(parse_index(read_file(base / kIndexName)));
 }
 
 }  // namespace spio

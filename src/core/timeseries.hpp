@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <vector>
 
-#include "core/reader.hpp"
 #include "core/writer.hpp"
 #include "simmpi/comm.hpp"
 
@@ -39,26 +38,13 @@ class TimeSeries {
   const std::vector<int>& steps() const { return steps_; }
   int step_count() const { return static_cast<int>(steps_.size()); }
 
-  /// True when the series contains `step`.
-  bool has_step(int step) const;
-
-  /// Open the dataset of one step.
-  Dataset open_step(int step) const;
-
-  /// Remove one step's dataset and drop it from the index (checkpoint
-  /// retention). Not collective — call from one process while no job is
-  /// writing the series. Throws `ConfigError` if the step is absent.
-  static void remove_step(const std::filesystem::path& base, int step);
-
   /// Directory of one step's dataset.
   static std::filesystem::path step_dir(const std::filesystem::path& base,
                                         int step);
 
  private:
-  TimeSeries(std::filesystem::path base, std::vector<int> steps)
-      : base_(std::move(base)), steps_(std::move(steps)) {}
+  explicit TimeSeries(std::vector<int> steps) : steps_(std::move(steps)) {}
 
-  std::filesystem::path base_;
   std::vector<int> steps_;
 };
 

@@ -1,9 +1,5 @@
 #include "simmpi/comm.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <tuple>
-
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -46,13 +42,10 @@ CommState::CommState(int sz, std::shared_ptr<std::atomic<bool>> abort_flag)
       abort(std::move(abort_flag)),
       mailboxes(static_cast<std::size_t>(sz)),
       arena(sz, abort),
-      delayed(static_cast<std::size_t>(sz)),
-      p2p_bytes(static_cast<std::size_t>(sz) * static_cast<std::size_t>(sz)),
-      p2p_msgs(static_cast<std::size_t>(sz) * static_cast<std::size_t>(sz)) {}
+      delayed(static_cast<std::size_t>(sz)) {}
 
 void CommState::interrupt_all() {
   for (auto& mb : mailboxes) mb.interrupt();
-  split_cv.notify_all();
 }
 
 }  // namespace detail
@@ -60,13 +53,6 @@ void CommState::interrupt_all() {
 void Comm::send_bytes(int dst, int tag, std::vector<std::byte> payload) {
   check_rank(dst);
   SPIO_EXPECTS(tag >= 0);
-  const std::size_t cell = static_cast<std::size_t>(rank_) *
-                               static_cast<std::size_t>(st_->size) +
-                           static_cast<std::size_t>(dst);
-  // Accounting covers every *attempted* send: a dropped message was still
-  // paid for by the sender, matching what a network counter would report.
-  st_->p2p_bytes[cell].fetch_add(payload.size(), std::memory_order_relaxed);
-  st_->p2p_msgs[cell].fetch_add(1, std::memory_order_relaxed);
   // Always-on black box: the last sends before a failure show up in
   // postmortem bundles (a = destination, b = bytes, detail = tag low
   // byte) even with tracing off.
@@ -166,80 +152,6 @@ void Comm::collective(std::vector<std::byte> contribution,
     return;
   }
   st_->arena.run(rank_, round_++, std::move(contribution), reader);
-}
-
-std::uint64_t Comm::bytes_sent(int src, int dst) const {
-  check_rank(src);
-  check_rank(dst);
-  return st_->p2p_bytes[static_cast<std::size_t>(src) *
-                            static_cast<std::size_t>(st_->size) +
-                        static_cast<std::size_t>(dst)]
-      .load(std::memory_order_relaxed);
-}
-
-std::vector<int> Comm::destinations_of(int src) const {
-  check_rank(src);
-  std::vector<int> out;
-  for (int d = 0; d < size(); ++d) {
-    const std::size_t cell = static_cast<std::size_t>(src) *
-                                 static_cast<std::size_t>(st_->size) +
-                             static_cast<std::size_t>(d);
-    if (st_->p2p_msgs[cell].load(std::memory_order_relaxed) > 0)
-      out.push_back(d);
-  }
-  return out;
-}
-
-Comm Comm::split(int color, int key) {
-  SPIO_EXPECTS(color >= 0);
-
-  struct Entry {
-    int color;
-    int key;
-    int rank;
-  };
-  // Deterministic group construction on every rank from the same gathered
-  // table, mirroring MPI_Comm_split semantics.
-  const std::uint64_t my_round = round_;  // unique id for this split point
-  std::vector<Entry> entries = allgather<Entry>({color, key, rank_});
-
-  std::vector<Entry> group;
-  for (const Entry& e : entries)
-    if (e.color == color) group.push_back(e);
-  std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-    return std::tie(a.key, a.rank) < std::tie(b.key, b.rank);
-  });
-
-  int new_rank = -1;
-  for (std::size_t i = 0; i < group.size(); ++i)
-    if (group[i].rank == rank_) new_rank = static_cast<int>(i);
-  SPIO_ENSURES(new_rank >= 0);
-
-  const bool leader = (new_rank == 0);
-  const auto map_key = std::make_pair(my_round, color);
-  std::shared_ptr<detail::CommState> child;
-  {
-    std::unique_lock lk(st_->split_mu);
-    if (leader) {
-      auto& entry = st_->split_children[map_key];
-      entry.child = std::make_shared<detail::CommState>(
-          static_cast<int>(group.size()), st_->abort);
-      entry.child->hooks = st_->hooks;  // faults follow sub-communicators
-      entry.fetches_left = static_cast<int>(group.size());
-      st_->split_cv.notify_all();
-    }
-    while (true) {
-      auto it = st_->split_children.find(map_key);
-      if (it != st_->split_children.end()) {
-        child = it->second.child;
-        if (--it->second.fetches_left == 0) st_->split_children.erase(it);
-        break;
-      }
-      if (st_->abort->load(std::memory_order_relaxed)) throw Aborted();
-      st_->split_cv.wait_for(lk, std::chrono::milliseconds(20));
-    }
-  }
-  return Comm(std::move(child), new_rank);
 }
 
 }  // namespace simmpi

@@ -7,8 +7,9 @@
 /// decide its fate — deliver normally, drop it, deliver it twice, or delay
 /// it past later traffic. The production transport installs no hooks: the
 /// only cost on that path is one null-pointer branch per send. The
-/// fault-injection layer (`spio::faultsim`) is the intended implementer;
-/// it scripts deterministic message faults for the chaos test harness.
+/// fault-injection layer (`spio::faultsim`) scripts deterministic message
+/// faults through it for the chaos test harness; a hook that always
+/// delivers can also count the traffic of a job.
 ///
 /// Collectives are not hooked: they move through the collective arena,
 /// whose all-or-nothing semantics make per-message faults meaningless.

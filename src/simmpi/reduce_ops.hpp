@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file reduce_ops.hpp
-/// Common reduction functors for `Comm::reduce`/`allreduce`, mirroring the
+/// Common reduction functors for `Comm::allreduce`, mirroring the
 /// predefined MPI_Op set.
 
 #include <algorithm>

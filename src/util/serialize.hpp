@@ -92,7 +92,11 @@ class BinaryReader {
   template <typename T>
   std::vector<T> read_span(std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
-    require(count * sizeof(T));
+    // Divide, not multiply: `count * sizeof(T)` wraps for a forged count.
+    SPIO_CHECK(count <= remaining() / sizeof(T), FormatError,
+               "truncated payload: need " << count << " elements of "
+                                          << sizeof(T) << " bytes, have "
+                                          << remaining() << " bytes");
     std::vector<T> out(count);
     // An empty span has null data(): skip the zero-size memcpy.
     if (count > 0)
@@ -105,7 +109,7 @@ class BinaryReader {
   template <typename T>
   std::vector<T> read_vector() {
     const auto n = read<std::uint64_t>();
-    SPIO_CHECK(n * sizeof(T) <= remaining(), FormatError,
+    SPIO_CHECK(n <= remaining() / sizeof(T), FormatError,
                "length prefix " << n << " exceeds remaining payload");
     return read_span<T>(static_cast<std::size_t>(n));
   }

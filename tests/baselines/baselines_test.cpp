@@ -40,21 +40,6 @@ TEST(Fpp, WriteReadRoundTrip) {
     EXPECT_EQ(ds.read_rank_file(r).size(), 100u);
 }
 
-TEST(Fpp, QueryScansEverything) {
-  const PatchDecomposition decomp(Box3::unit(), {4, 1, 1});
-  TempDir dir("fpp");
-  simmpi::run(4, [&](simmpi::Comm& comm) {
-    fpp_write(comm, rank_particles(comm.rank(), decomp, 200), dir.path());
-  });
-  const FppDataset ds = FppDataset::open(dir.path());
-  ReadStats rs;
-  const Box3 q({0, 0, 0}, {0.25, 1, 1});  // only rank 0's slab
-  const auto out = ds.query_box(q, &rs);
-  EXPECT_EQ(out.size(), 200u);
-  EXPECT_EQ(rs.files_opened, 4);           // still read every file
-  EXPECT_EQ(rs.particles_scanned, 800u);   // and scanned every particle
-}
-
 TEST(Fpp, EmptyRankFileHandled) {
   const PatchDecomposition decomp(Box3::unit(), {2, 1, 1});
   TempDir dir("fpp");
@@ -91,8 +76,9 @@ TEST(SharedFile, WriteReadRoundTrip) {
   const SharedDataset ds = SharedDataset::open(dir.path());
   EXPECT_EQ(ds.total_particles(), 512u);
   EXPECT_EQ(ds.writer_count(), 8);
-  const auto all = ds.read_all();
-  EXPECT_EQ(id_set(all).size(), 512u);
+  std::set<double> ids;
+  for (int r = 0; r < 8; ++r) ids.merge(id_set(ds.read_rank_slice(r)));
+  EXPECT_EQ(ids.size(), 512u);
 }
 
 TEST(SharedFile, RankSlicesAreContiguousAndOrdered) {
@@ -109,19 +95,6 @@ TEST(SharedFile, RankSlicesAreContiguousAndOrdered) {
     // Generator ids are rank*50 + i, so the slice identifies its writer.
     EXPECT_EQ(slice.get_f64(0, idf), r * 50.0);
   }
-}
-
-TEST(SharedFile, QueryScansWholeFile) {
-  const PatchDecomposition decomp(Box3::unit(), {4, 1, 1});
-  TempDir dir("shared");
-  simmpi::run(4, [&](simmpi::Comm& comm) {
-    shared_write(comm, rank_particles(comm.rank(), decomp, 100), dir.path());
-  });
-  const SharedDataset ds = SharedDataset::open(dir.path());
-  ReadStats rs;
-  const auto out = ds.query_box(Box3({0, 0, 0}, {0.25, 1, 1}), &rs);
-  EXPECT_EQ(out.size(), 100u);
-  EXPECT_EQ(rs.particles_scanned, 400u);
 }
 
 TEST(SharedFile, VariableCountsPlaceCorrectOffsets) {
@@ -153,7 +126,10 @@ TEST(RankOrder, GroupFilesMixDistantRegions) {
   const RankOrderDataset ds = RankOrderDataset::open(dir.path());
   EXPECT_EQ(ds.file_count(), 2);
   EXPECT_EQ(ds.total_particles(), 800u);
-  EXPECT_EQ(id_set(ds.query_box(Box3::unit())).size(), 800u);
+  std::set<double> ids;
+  for (int g = 0; g < ds.file_count(); ++g)
+    ids.merge(id_set(ds.read_group_file(g)));
+  EXPECT_EQ(ids.size(), 800u);
 }
 
 TEST(RankOrder, UnevenTailGroup) {
@@ -168,19 +144,27 @@ TEST(RankOrder, UnevenTailGroup) {
   EXPECT_EQ(ds.read_group_file(2).size(), 40u);  // lone rank 4
 }
 
-TEST(RankOrder, QueryMustTouchEveryFile) {
-  const PatchDecomposition decomp(Box3::unit(), {8, 1, 1});
+TEST(RankOrder, EmptyMemberKeepsMemberOrder) {
+  // Every member sends a payload, an empty one too; the leader appends
+  // them in member order, so the file is ranks 0, 2, 3 back to back.
+  const PatchDecomposition decomp(Box3::unit(), {4, 1, 1});
   TempDir dir("rankorder");
-  simmpi::run(8, [&](simmpi::Comm& comm) {
-    rank_order_write(comm, rank_particles(comm.rank(), decomp, 100),
-                     dir.path(), 2);
+  simmpi::run(4, [&](simmpi::Comm& comm) {
+    const auto buf = comm.rank() == 1
+                         ? ParticleBuffer(Schema::uintah())
+                         : rank_particles(comm.rank(), decomp, 20);
+    rank_order_write(comm, buf, dir.path(), 4);
   });
   const RankOrderDataset ds = RankOrderDataset::open(dir.path());
-  ReadStats rs;
-  const auto out = ds.query_box(Box3({0, 0, 0}, {0.125, 1, 1}), &rs);
-  EXPECT_EQ(out.size(), 100u);
-  EXPECT_EQ(rs.files_opened, 4);
-  EXPECT_EQ(rs.particles_scanned, 800u);
+  ASSERT_EQ(ds.file_count(), 1);
+  const auto file = ds.read_group_file(0);
+  ASSERT_EQ(file.size(), 60u);
+  const auto idf = Schema::uintah().index_of("id");
+  for (std::size_t i = 0; i < file.size(); ++i) {
+    const double rank = i < 20 ? 0 : i < 40 ? 2 : 3;
+    EXPECT_EQ(file.get_f64(i, idf), rank * 20 + static_cast<double>(i % 20))
+        << "record " << i;
+  }
 }
 
 }  // namespace

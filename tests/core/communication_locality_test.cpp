@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "core/writer.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/temp_dir.hpp"
@@ -13,9 +11,46 @@ namespace {
 /// Functional verification of the paper's §3.1 claim: "communication
 /// during the data aggregation phase is localized to each aggregation
 /// partition, confined to a group of Px × Py × Pz processes" — checked
-/// on the real message traffic of a write (simmpi counts every
-/// point-to-point byte; collectives move through shared memory and do
-/// not blur the picture).
+/// on the real message traffic of a write (a counting `CommHooks` sees
+/// every point-to-point message; collectives move through shared memory
+/// and do not blur the picture).
+
+/// Counts the point-to-point traffic of one job by (source, destination).
+/// Each rank thread writes only its own source row, and the job's join
+/// orders those writes before any read after `simmpi::run` returns.
+class TrafficCounter : public simmpi::CommHooks {
+ public:
+  explicit TrafficCounter(int ranks)
+      : bytes_(static_cast<std::size_t>(ranks),
+               std::vector<std::uint64_t>(static_cast<std::size_t>(ranks))),
+        msgs_(bytes_) {}
+
+  simmpi::SendAction on_send(int src, int dst, int /*tag*/,
+                             std::size_t bytes) override {
+    bytes_[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)] +=
+        bytes;
+    msgs_[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)] += 1;
+    return simmpi::SendAction::kDeliver;
+  }
+
+  /// Bytes `src` sent to `dst`.
+  std::uint64_t bytes(int src, int dst) const {
+    return bytes_[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
+  }
+
+  /// Ranks `src` sent at least one message to.
+  std::vector<int> peers_of(int src) const {
+    std::vector<int> out;
+    const auto& row = msgs_[static_cast<std::size_t>(src)];
+    for (std::size_t d = 0; d < row.size(); ++d)
+      if (row[d] > 0) out.push_back(static_cast<int>(d));
+    return out;
+  }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> bytes_;
+  std::vector<std::vector<std::uint64_t>> msgs_;
+};
 
 TEST(CommunicationLocality, SendersTalkOnlyToTheirAggregator) {
   constexpr int kRanks = 32;
@@ -28,24 +63,22 @@ TEST(CommunicationLocality, SendersTalkOnlyToTheirAggregator) {
   WriterConfig cfg;
   cfg.dir = dir.path();
   cfg.factor = factor;
-  simmpi::run(kRanks, [&](simmpi::Comm& comm) {
+  TrafficCounter traffic(kRanks);
+  simmpi::run(kRanks, simmpi::RunOptions{&traffic}, [&](simmpi::Comm& comm) {
     const auto local = workload::uniform(
         Schema::uintah(), decomp.patch(comm.rank()), 100,
         stream_seed(3, static_cast<std::uint64_t>(comm.rank())),
         static_cast<std::uint64_t>(comm.rank()) * 100);
     write_dataset(comm, decomp, local, cfg);
-    comm.barrier();
-    if (comm.rank() == 0) {
-      for (int src = 0; src < kRanks; ++src) {
-        ASSERT_EQ(plan.targets_of(src).size(), 1u);
-        const int agg = plan.aggregator_of(plan.targets_of(src)[0]);
-        for (const int dst : comm.destinations_of(src)) {
-          // Every rank sends only to its partition's aggregator.
-          EXPECT_EQ(dst, agg) << "rank " << src << " talked to " << dst;
-        }
-      }
-    }
   });
+  for (int src = 0; src < kRanks; ++src) {
+    ASSERT_EQ(plan.targets_of(src).size(), 1u);
+    const int agg = plan.aggregator_of(plan.targets_of(src)[0]);
+    for (const int dst : traffic.peers_of(src)) {
+      // Every rank sends only to its partition's aggregator.
+      EXPECT_EQ(dst, agg) << "rank " << src << " talked to " << dst;
+    }
+  }
 }
 
 TEST(CommunicationLocality, FilePerProcessMovesNoRemoteBytes) {
@@ -56,22 +89,19 @@ TEST(CommunicationLocality, FilePerProcessMovesNoRemoteBytes) {
   WriterConfig cfg;
   cfg.dir = dir.path();
   cfg.factor = {1, 1, 1};
-  simmpi::run(kRanks, [&](simmpi::Comm& comm) {
+  TrafficCounter traffic(kRanks);
+  simmpi::run(kRanks, simmpi::RunOptions{&traffic}, [&](simmpi::Comm& comm) {
     const auto local = workload::uniform(
         Schema::uintah(), decomp.patch(comm.rank()), 200,
         stream_seed(5, static_cast<std::uint64_t>(comm.rank())),
         static_cast<std::uint64_t>(comm.rank()) * 200);
     write_dataset(comm, decomp, local, cfg);
-    comm.barrier();
-    if (comm.rank() == 0) {
-      for (int src = 0; src < kRanks; ++src)
-        for (int dst = 0; dst < kRanks; ++dst) {
-          if (src == dst) continue;
-          EXPECT_EQ(comm.bytes_sent(src, dst), 0u)
-              << src << " -> " << dst;
-        }
-    }
   });
+  for (int src = 0; src < kRanks; ++src)
+    for (int dst = 0; dst < kRanks; ++dst) {
+      if (src == dst) continue;
+      EXPECT_EQ(traffic.bytes(src, dst), 0u) << src << " -> " << dst;
+    }
 }
 
 TEST(CommunicationLocality, AggregationVolumeMatchesGroupData) {
@@ -88,51 +118,29 @@ TEST(CommunicationLocality, AggregationVolumeMatchesGroupData) {
   WriterConfig cfg;
   cfg.dir = dir.path();
   cfg.factor = factor;
-  simmpi::run(kRanks, [&](simmpi::Comm& comm) {
+  TrafficCounter traffic(kRanks);
+  simmpi::run(kRanks, simmpi::RunOptions{&traffic}, [&](simmpi::Comm& comm) {
     const auto local = workload::uniform(
         Schema::uintah(), decomp.patch(comm.rank()), kPerRank,
         stream_seed(5, static_cast<std::uint64_t>(comm.rank())),
         static_cast<std::uint64_t>(comm.rank()) * kPerRank);
     write_dataset(comm, decomp, local, cfg);
-    comm.barrier();
-    if (comm.rank() == 0) {
-      const std::uint64_t payload =
-          kPerRank * Schema::uintah().record_size();
-      for (int p = 0; p < plan.partition_count(); ++p) {
-        const int agg = plan.aggregator_of(p);
-        std::uint64_t received = 0;
-        std::uint64_t remote_senders = 0;
-        for (const int s : plan.senders_of(p)) {
-          if (s == agg) continue;  // the aggregator's own data stays local
-          ++remote_senders;
-          received += comm.bytes_sent(s, agg);
-        }
-        // Each remote sender ships its particles + one 8-byte count.
-        // Note: an aggregator may live *outside* its partition (§3.2), in
-        // which case every one of the G senders is remote.
-        EXPECT_EQ(received, remote_senders * (payload + 8)) << "partition "
-                                                            << p;
-      }
-    }
   });
-}
-
-TEST(TrafficCounters, CountBytesAndMessages) {
-  simmpi::run(2, [](simmpi::Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send<double>(1, 0, std::vector<double>{1, 2, 3});
-      comm.send<double>(1, 1, std::vector<double>{4});
+  const std::uint64_t payload = kPerRank * Schema::uintah().record_size();
+  for (int p = 0; p < plan.partition_count(); ++p) {
+    const int agg = plan.aggregator_of(p);
+    std::uint64_t received = 0;
+    std::uint64_t remote_senders = 0;
+    for (const int s : plan.senders_of(p)) {
+      if (s == agg) continue;  // the aggregator's own data stays local
+      ++remote_senders;
+      received += traffic.bytes(s, agg);
     }
-    comm.barrier();
-    EXPECT_EQ(comm.bytes_sent(0, 1), 4 * sizeof(double));
-    EXPECT_EQ(comm.bytes_sent(1, 0), 0u);
-    EXPECT_EQ(comm.destinations_of(0), std::vector<int>{1});
-    EXPECT_TRUE(comm.destinations_of(1).empty());
-    if (comm.rank() == 1) {
-      comm.recv<double>(0, 0);
-      comm.recv<double>(0, 1);
-    }
-  });
+    // Each remote sender ships its particles + one 8-byte count.
+    // Note: an aggregator may live *outside* its partition (§3.2), in
+    // which case every one of the G senders is remote.
+    EXPECT_EQ(received, remote_senders * (payload + 8)) << "partition " << p;
+  }
 }
 
 }  // namespace

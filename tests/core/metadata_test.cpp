@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "core/journal.hpp"
+#include "util/serialize.hpp"
 #include "util/temp_dir.hpp"
 
 namespace spio {
@@ -149,6 +154,48 @@ TEST(Metadata, RejectsInconsistentTotals) {
   DatasetMetadata m = sample_metadata();
   m.total_particles = 999;  // != 100 + 200
   EXPECT_THROW(DatasetMetadata::deserialize(m.serialize()), FormatError);
+}
+
+TEST(Metadata, ForgedCountsAreRefusedBeforeReserving) {
+  // A file count of 2^32 - 1 with no records behind it.
+  DatasetMetadata empty;
+  empty.domain = Box3::unit();
+  auto bytes = empty.serialize();  // ends in the u32 file count, here 0
+  for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i)
+    bytes[i] = std::byte{0xFF};
+  EXPECT_THROW(DatasetMetadata::deserialize(bytes), FormatError);
+
+  // A schema field of 2^32 - 16 components, so each file record would
+  // carry that many field ranges.
+  DatasetMetadata m;
+  m.schema = Schema({{"position", FieldType::kF64, 3},
+                     {"big", FieldType::kF64, 1}});
+  m.domain = Box3::unit();
+  m.has_field_ranges = true;
+  m.total_particles = 1;
+  m.files.push_back({0, 0, 1, Box3::unit(), {}});
+  m.files[0].field_ranges.assign(m.range_count(), FieldRange{0.0, 1.0});
+  bytes = m.serialize();
+  // The field descriptor is the name "big", a type byte, then the u32
+  // component count.
+  const std::string name = "big";
+  const auto at = std::search(
+      bytes.begin(), bytes.end(), name.begin(), name.end(),
+      [](std::byte b, char c) { return b == static_cast<std::byte>(c); });
+  ASSERT_NE(at, bytes.end());
+  const std::uint32_t components = 0xFFFFFFF0;
+  std::memcpy(&*(at + 3 + 1), &components, sizeof(components));
+  EXPECT_THROW(DatasetMetadata::deserialize(bytes), FormatError);
+}
+
+TEST(ChecksumTable, ForgedEntryCountIsRefusedBeforeReserving) {
+  TempDir dir("checksum-forged");
+  BinaryWriter w;
+  w.write<std::uint32_t>(ChecksumTable::kMagic);
+  w.write<std::uint32_t>(ChecksumTable::kVersion);
+  w.write<std::uint64_t>(std::uint64_t{1} << 40);  // 2^40 entries, none here
+  write_file(dir.file(ChecksumTable::kFileName), w.bytes());
+  EXPECT_THROW(ChecksumTable::load(dir.path()), FormatError);
 }
 
 TEST(Metadata, LoadMissingDirectoryThrowsIoError) {

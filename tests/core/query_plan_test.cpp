@@ -547,5 +547,17 @@ TEST(ZoneLaw, ForgedSidecarCountsAreRefusedWithoutWalkingTheFile) {
   EXPECT_THROW(ZoneMapTable::deserialize(forged(4, 4)), FormatError);
 }
 
+TEST(ZoneLaw, ForgedSidecarFileCountIsRefusedBeforeReserving) {
+  BinaryWriter w;
+  w.write<std::uint32_t>(ZoneMapTable::kMagic);
+  w.write<std::uint32_t>(ZoneMapTable::kVersion);
+  w.write<std::uint32_t>(1);           // range_count
+  w.write<std::uint64_t>(32);          // P
+  w.write<double>(2.0);                // S
+  w.write<std::uint32_t>(0xFFFFFFFF);  // files, none of them present
+  w.write<std::uint64_t>(crc64(w.bytes()));
+  EXPECT_THROW(ZoneMapTable::deserialize(w.bytes()), FormatError);
+}
+
 }  // namespace
 }  // namespace spio

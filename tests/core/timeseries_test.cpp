@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reader.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/temp_dir.hpp"
 #include "workload/generators.hpp"
@@ -39,8 +40,6 @@ TEST(TimeSeries, StepsAccumulateInOrder) {
 
   const TimeSeries series = TimeSeries::open(dir.path());
   EXPECT_EQ(series.steps(), (std::vector<int>{0, 5, 10}));
-  EXPECT_TRUE(series.has_step(5));
-  EXPECT_FALSE(series.has_step(7));
 }
 
 TEST(TimeSeries, EachStepIsACompleteDataset) {
@@ -49,7 +48,7 @@ TEST(TimeSeries, EachStepIsACompleteDataset) {
   write_step_n(dir.path(), 2);
   const TimeSeries series = TimeSeries::open(dir.path());
   for (const int step : series.steps()) {
-    const Dataset ds = series.open_step(step);
+    const Dataset ds = Dataset::open(TimeSeries::step_dir(dir.path(), step));
     EXPECT_EQ(ds.metadata().total_particles, kRanks * kPerRank);
     EXPECT_EQ(ds.query_box(ds.metadata().domain).size(), kRanks * kPerRank);
   }
@@ -59,10 +58,11 @@ TEST(TimeSeries, StepsHoldDistinctData) {
   TempDir dir("spio-series");
   write_step_n(dir.path(), 1);
   write_step_n(dir.path(), 2);
-  const TimeSeries series = TimeSeries::open(dir.path());
   const auto idf = Schema::uintah().index_of("id");
-  const auto p1 = series.open_step(1).query_box(Box3::unit());
-  const auto p2 = series.open_step(2).query_box(Box3::unit());
+  const auto p1 = Dataset::open(TimeSeries::step_dir(dir.path(), 1))
+                      .query_box(Box3::unit());
+  const auto p2 = Dataset::open(TimeSeries::step_dir(dir.path(), 2))
+                      .query_box(Box3::unit());
   // Step-tagged ids do not overlap.
   double max1 = 0, min2 = 1e300;
   for (std::size_t i = 0; i < p1.size(); ++i)
@@ -78,15 +78,10 @@ TEST(TimeSeries, RewritingAStepReplacesIt) {
   write_step_n(dir.path(), 3);
   const TimeSeries series = TimeSeries::open(dir.path());
   EXPECT_EQ(series.steps(), std::vector<int>{3});
-  EXPECT_EQ(series.open_step(3).metadata().total_particles,
+  EXPECT_EQ(Dataset::open(TimeSeries::step_dir(dir.path(), 3))
+                .metadata()
+                .total_particles,
             kRanks * kPerRank);
-}
-
-TEST(TimeSeries, OpenMissingStepRejected) {
-  TempDir dir("spio-series");
-  write_step_n(dir.path(), 0);
-  const TimeSeries series = TimeSeries::open(dir.path());
-  EXPECT_THROW(series.open_step(1), ConfigError);
 }
 
 TEST(TimeSeries, OpenWithoutIndexRejected) {
@@ -105,22 +100,6 @@ TEST(TimeSeries, NegativeStepRejected) {
                                            dir.path(), -1, cfg);
                   }),
       ConfigError);
-}
-
-TEST(TimeSeries, RemoveStepDropsDataAndIndexEntry) {
-  TempDir dir("spio-series");
-  write_step_n(dir.path(), 1);
-  write_step_n(dir.path(), 2);
-  write_step_n(dir.path(), 3);
-  TimeSeries::remove_step(dir.path(), 2);
-  const TimeSeries series = TimeSeries::open(dir.path());
-  EXPECT_EQ(series.steps(), (std::vector<int>{1, 3}));
-  EXPECT_FALSE(
-      std::filesystem::exists(TimeSeries::step_dir(dir.path(), 2)));
-  // Remaining steps stay readable.
-  EXPECT_EQ(series.open_step(3).metadata().total_particles,
-            kRanks * kPerRank);
-  EXPECT_THROW(TimeSeries::remove_step(dir.path(), 2), ConfigError);
 }
 
 TEST(TimeSeries, StepDirNamingIsPadded) {

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "simmpi/runtime.hpp"
+#include "typed_p2p.hpp"
 
 namespace simmpi {
 namespace {
@@ -10,9 +11,9 @@ namespace {
 TEST(P2p, SendRecvSingleValue) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send_value<int>(1, 0, 42);
+      send_as<int>(comm, 1, 0, {42});
     } else {
-      EXPECT_EQ(comm.recv_value<int>(0, 0), 42);
+      EXPECT_EQ(recv_as<int>(comm, 0, 0), std::vector<int>{42});
     }
   });
 }
@@ -22,9 +23,9 @@ TEST(P2p, SendRecvVector) {
     if (comm.rank() == 0) {
       std::vector<double> data(100);
       std::iota(data.begin(), data.end(), 0.0);
-      comm.send<double>(1, 5, data);
+      send_as<double>(comm, 1, 5, data);
     } else {
-      const auto data = comm.recv<double>(0, 5);
+      const auto data = recv_as<double>(comm, 0, 5);
       ASSERT_EQ(data.size(), 100u);
       EXPECT_EQ(data[37], 37.0);
     }
@@ -34,30 +35,30 @@ TEST(P2p, SendRecvVector) {
 TEST(P2p, EmptyPayload) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send<int>(1, 0, {});
+      send_as<int>(comm, 1, 0, {});
     } else {
-      EXPECT_TRUE(comm.recv<int>(0, 0).empty());
+      EXPECT_TRUE(recv_as<int>(comm, 0, 0).empty());
     }
   });
 }
 
 TEST(P2p, SelfSend) {
   run(1, [](Comm& comm) {
-    comm.send_value<int>(0, 3, 99);
-    EXPECT_EQ(comm.recv_value<int>(0, 3), 99);
+    send_as<int>(comm, 0, 3, {99});
+    EXPECT_EQ(recv_as<int>(comm, 0, 3), std::vector<int>{99});
   });
 }
 
 TEST(P2p, TagsMatchIndependently) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send_value<int>(1, /*tag=*/1, 111);
-      comm.send_value<int>(1, /*tag=*/2, 222);
+      send_as<int>(comm, 1, /*tag=*/1, {111});
+      send_as<int>(comm, 1, /*tag=*/2, {222});
     } else {
       // Receive in the opposite order of sending: tag matching must pick
       // the right message regardless of arrival order.
-      EXPECT_EQ(comm.recv_value<int>(0, 2), 222);
-      EXPECT_EQ(comm.recv_value<int>(0, 1), 111);
+      EXPECT_EQ(recv_as<int>(comm, 0, 2), std::vector<int>{222});
+      EXPECT_EQ(recv_as<int>(comm, 0, 1), std::vector<int>{111});
     }
   });
 }
@@ -65,9 +66,10 @@ TEST(P2p, TagsMatchIndependently) {
 TEST(P2p, NonOvertakingSameSourceAndTag) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      for (int i = 0; i < 50; ++i) comm.send_value<int>(1, 0, i);
+      for (int i = 0; i < 50; ++i) send_as<int>(comm, 1, 0, {i});
     } else {
-      for (int i = 0; i < 50; ++i) EXPECT_EQ(comm.recv_value<int>(0, 0), i);
+      for (int i = 0; i < 50; ++i)
+        EXPECT_EQ(recv_as<int>(comm, 0, 0), std::vector<int>{i});
     }
   });
 }
@@ -79,13 +81,13 @@ TEST(P2p, AnySourceReceivesFromAll) {
       std::vector<bool> seen(kRanks, false);
       for (int i = 1; i < kRanks; ++i) {
         int src = -2;
-        const int v = comm.recv_value<int>(kAnySource, 0, &src);
-        EXPECT_EQ(v, src * 10);
+        const auto v = recv_as<int>(comm, kAnySource, 0, &src);
+        EXPECT_EQ(v, std::vector<int>{src * 10});
         EXPECT_FALSE(seen[static_cast<std::size_t>(src)]);
         seen[static_cast<std::size_t>(src)] = true;
       }
     } else {
-      comm.send_value<int>(0, 0, comm.rank() * 10);
+      send_as<int>(comm, 0, 0, {comm.rank() * 10});
     }
   });
 }
@@ -93,8 +95,8 @@ TEST(P2p, AnySourceReceivesFromAll) {
 TEST(P2p, AnyTagMatchesFirstArrival) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send_value<int>(1, 7, 70);
-      comm.send_value<int>(1, 9, 90);
+      send_as<int>(comm, 1, 7, {70});
+      send_as<int>(comm, 1, 9, {90});
     } else {
       comm.barrier();  // ensure both messages arrived before receiving
       Message m = comm.recv_message(0, kAnyTag);
@@ -105,43 +107,10 @@ TEST(P2p, AnyTagMatchesFirstArrival) {
   });
 }
 
-TEST(P2p, IsendIrecvWaitAll) {
-  constexpr int kRanks = 4;
-  run(kRanks, [](Comm& comm) {
-    // Ring exchange: send to the right, receive from the left.
-    const int right = (comm.rank() + 1) % comm.size();
-    const int left = (comm.rank() + comm.size() - 1) % comm.size();
-    std::vector<int> out{comm.rank() * 100};
-    std::vector<int> in;
-    std::vector<Request> reqs;
-    reqs.push_back(comm.irecv<int>(in, left, 0));
-    reqs.push_back(comm.isend<int>(right, 0, out));
-    Request::wait_all(reqs);
-    ASSERT_EQ(in.size(), 1u);
-    EXPECT_EQ(in[0], left * 100);
-  });
-}
-
-TEST(P2p, RequestWaitIsIdempotent) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value<int>(1, 0, 5);
-    } else {
-      std::vector<int> in;
-      Request r = comm.irecv<int>(in, 0, 0);
-      EXPECT_FALSE(r.done());
-      r.wait();
-      EXPECT_TRUE(r.done());
-      r.wait();  // must be a no-op
-      EXPECT_EQ(in, std::vector<int>{5});
-    }
-  });
-}
-
 TEST(P2p, IprobeSeesPendingMessage) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send<double>(1, 4, std::vector<double>{1, 2, 3});
+      send_as<double>(comm, 1, 4, {1, 2, 3});
       comm.barrier();
     } else {
       comm.barrier();  // sender has definitely delivered
@@ -151,7 +120,7 @@ TEST(P2p, IprobeSeesPendingMessage) {
       EXPECT_EQ(src, 0);
       EXPECT_EQ(bytes, 3 * sizeof(double));
       EXPECT_FALSE(comm.iprobe(0, 99));
-      comm.recv<double>(0, 4);  // drain
+      comm.recv_message(0, 4);  // drain
     }
   });
 }
@@ -162,9 +131,9 @@ TEST(P2p, LargePayload) {
     if (comm.rank() == 0) {
       std::vector<double> data(kCount, 1.5);
       data.back() = 2.5;
-      comm.send<double>(1, 0, data);
+      send_as<double>(comm, 1, 0, data);
     } else {
-      const auto data = comm.recv<double>(0, 0);
+      const auto data = recv_as<double>(comm, 0, 0);
       ASSERT_EQ(data.size(), kCount);
       EXPECT_EQ(data.front(), 1.5);
       EXPECT_EQ(data.back(), 2.5);
@@ -179,24 +148,14 @@ TEST(P2p, ManyToOneStress) {
     if (comm.rank() == 0) {
       long long total = 0;
       for (int i = 0; i < (kRanks - 1) * kMsgs; ++i)
-        total += comm.recv_value<int>(kAnySource, 0);
+        total += recv_as<int>(comm, kAnySource, 0).at(0);
       long long expect = 0;
       for (int r = 1; r < kRanks; ++r)
         for (int m = 0; m < kMsgs; ++m) expect += r * 1000 + m;
       EXPECT_EQ(total, expect);
     } else {
       for (int m = 0; m < kMsgs; ++m)
-        comm.send_value<int>(0, 0, comm.rank() * 1000 + m);
-    }
-  });
-}
-
-TEST(P2p, RecvValueRejectsWrongCardinality) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send<int>(1, 0, std::vector<int>{1, 2});
-    } else {
-      EXPECT_THROW(comm.recv_value<int>(0, 0), spio::FormatError);
+        send_as<int>(comm, 0, 0, {comm.rank() * 1000 + m});
     }
   });
 }

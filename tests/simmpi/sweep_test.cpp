@@ -4,6 +4,7 @@
 
 #include "simmpi/reduce_ops.hpp"
 #include "simmpi/runtime.hpp"
+#include "typed_p2p.hpp"
 
 namespace simmpi {
 namespace {
@@ -44,33 +45,13 @@ TEST_P(RankSweep, AllgatherOrdered) {
   });
 }
 
-TEST_P(RankSweep, ExscanPrefix) {
-  run(GetParam(), [](Comm& comm) {
-    const std::uint64_t prefix =
-        comm.exscan<std::uint64_t>(1, op::sum, 0);
-    EXPECT_EQ(prefix, static_cast<std::uint64_t>(comm.rank()));
-  });
-}
-
 TEST_P(RankSweep, RingExchange) {
   const int n = GetParam();
   run(n, [&](Comm& comm) {
     const int right = (comm.rank() + 1) % n;
     const int left = (comm.rank() + n - 1) % n;
-    comm.send_value<int>(right, 0, comm.rank());
-    EXPECT_EQ(comm.recv_value<int>(left, 0), left);
-  });
-}
-
-TEST_P(RankSweep, SplitIntoHalves) {
-  const int n = GetParam();
-  if (n < 2) return;
-  run(n, [&](Comm& comm) {
-    const int color = comm.rank() < n / 2 ? 0 : 1;
-    Comm sub = comm.split(color, comm.rank());
-    const int expect = color == 0 ? n / 2 : n - n / 2;
-    EXPECT_EQ(sub.size(), expect);
-    EXPECT_EQ(sub.allreduce(1, op::sum), expect);
+    send_as<int>(comm, right, 0, {comm.rank()});
+    EXPECT_EQ(recv_as<int>(comm, left, 0), std::vector<int>{left});
   });
 }
 
@@ -94,13 +75,13 @@ TEST(P2pFuzz, RandomTrafficPatternsVerify) {
       std::vector<int> payload(
           static_cast<std::size_t>((comm.rank() + round) % 9),
           comm.rank() * 100 + round);
-      comm.send<int>(dst, round, payload);
+      send_as<int>(comm, dst, round, payload);
     }
     for (int round = 0; round < kRounds; ++round) {
       // Who sends to me this round? s with (s + round*7 + 1) % n == me.
       const int src =
           ((comm.rank() - round * 7 - 1) % kRanks + kRanks) % kRanks;
-      const auto got = comm.recv<int>(src, round);
+      const auto got = recv_as<int>(comm, src, round);
       ASSERT_EQ(got.size(),
                 static_cast<std::size_t>((src + round) % 9));
       for (int v : got) EXPECT_EQ(v, src * 100 + round);
@@ -117,10 +98,11 @@ TEST(P2pFuzz, InterleavedTagsAndSources) {
       // right message regardless of arrival order.
       for (int tag = 7; tag >= 0; --tag)
         for (int src = kRanks - 1; src >= 1; --src)
-          EXPECT_EQ(comm.recv_value<int>(src, tag), src * 10 + tag);
+          EXPECT_EQ(recv_as<int>(comm, src, tag),
+                    std::vector<int>{src * 10 + tag});
     } else {
       for (int tag = 0; tag < 8; ++tag)
-        comm.send_value<int>(0, tag, comm.rank() * 10 + tag);
+        send_as<int>(comm, 0, tag, {comm.rank() * 10 + tag});
     }
   });
 }
@@ -130,24 +112,6 @@ TEST(Stress, TwoHundredRanksAllreduce) {
   run(kRanks, [&](Comm& comm) {
     const long long sum = comm.allreduce<long long>(1, op::sum);
     EXPECT_EQ(sum, kRanks);
-  });
-}
-
-TEST(Stress, ManyConcurrentSubCommunicators) {
-  constexpr int kRanks = 48;
-  run(kRanks, [&](Comm& comm) {
-    for (int groups : {2, 3, 4, 6, 8}) {
-      Comm sub = comm.split(comm.rank() % groups, comm.rank());
-      const int members = kRanks / groups;
-      EXPECT_EQ(sub.size(), members);
-      // Chain of p2p inside the subgroup.
-      if (sub.rank() + 1 < sub.size()) {
-        sub.send_value<int>(sub.rank() + 1, 0, sub.rank());
-      }
-      if (sub.rank() > 0) {
-        EXPECT_EQ(sub.recv_value<int>(sub.rank() - 1, 0), sub.rank() - 1);
-      }
-    }
   });
 }
 

@@ -57,6 +57,18 @@ TEST(BinaryReader, OversizedLengthPrefixThrows) {
   w.write<std::uint64_t>(1'000'000);  // claims a million elements
   BinaryReader r(w.bytes());
   EXPECT_THROW(r.read_vector<double>(), FormatError);
+
+  // 2^61 + 1 doubles is 2^64 + 8 bytes, which wraps to the 8 bytes left:
+  // a multiplying bounds check would pass and the allocation would throw
+  // std::length_error instead of a typed error.
+  BinaryWriter forged;
+  forged.write<std::uint64_t>((std::uint64_t{1} << 61) + 1);
+  forged.write<double>(1.0);
+  BinaryReader fr(forged.bytes());
+  EXPECT_THROW(fr.read_vector<double>(), FormatError);
+  BinaryReader sr(forged.bytes());
+  EXPECT_THROW(sr.read_span<double>((std::size_t{1} << 61) + 1),
+               FormatError);
 }
 
 TEST(BinaryReader, OversizedStringThrows) {
